@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Coordinator address used by the `work` convenience target.
 COORDINATOR ?= http://127.0.0.1:9090
 
-.PHONY: build test race chaos chaos-distrib bench bench-json fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
+.PHONY: build test race chaos chaos-distrib bench bench-json bench-gate bench-module fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
 
 build:
 	$(GO) build ./...
@@ -48,17 +48,16 @@ bench:
 
 # Measure the paired benchmarks and export them as benchstat-compatible JSON
 # artifacts (per-workload ns/op + allocs/op, speedups, and the geomean):
-# replay-vs-full per injection (BENCH_inject.json), optimized-vs-baseline per
-# campaign (BENCH_campaign.json), adaptive-vs-fixed experiment counts at
-# equal Wilson CI (BENCH_adaptive.json), and hardened-vs-baseline FIT
-# (BENCH_harden.json). CI uploads all four.
+# replay-vs-full per injection (BENCH_inject.json), adaptive-vs-fixed
+# experiment counts at equal Wilson CI (BENCH_adaptive.json), and
+# hardened-vs-baseline FIT (BENCH_harden.json). BENCH_campaign.json is a
+# frozen historical record of the retired optimized-vs-baseline campaign
+# pairing and is no longer remeasured; campaign speed is measured in absolute
+# units by `bash internal/bench/run.sh` (BENCHMARK.json).
 bench-json:
 	$(GO) test -run '^$$' -bench '^BenchmarkInjectionReplay$$' -benchmem . > bench_inject.txt
 	$(GO) run ./cmd/benchjson -o BENCH_inject.json < bench_inject.txt
 	@rm -f bench_inject.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkCampaign$$' -timeout 60m . > bench_campaign.txt
-	$(GO) run ./cmd/benchjson -o BENCH_campaign.json < bench_campaign.txt
-	@rm -f bench_campaign.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkAdaptive$$' -timeout 60m . > bench_adaptive.txt
 	$(GO) run ./cmd/benchjson -o BENCH_adaptive.json < bench_adaptive.txt
 	@rm -f bench_adaptive.txt
@@ -67,19 +66,27 @@ bench-json:
 	@rm -f bench_harden.txt
 
 # Regenerate the benchmark artifacts into *.new.json and gate them against
-# the committed baselines: fail if either geomean speedup regressed by more
+# the committed baselines: fail if any geomean speedup regressed by more
 # than 10%. Mirrors CI's bench-trajectory job.
 bench-gate:
 	cp BENCH_inject.json BENCH_inject.base.json
-	cp BENCH_campaign.json BENCH_campaign.base.json
 	cp BENCH_adaptive.json BENCH_adaptive.base.json
 	cp BENCH_harden.json BENCH_harden.base.json
 	$(MAKE) bench-json
 	$(GO) run ./cmd/benchjson/benchgate -old BENCH_inject.base.json -new BENCH_inject.json
-	$(GO) run ./cmd/benchjson/benchgate -old BENCH_campaign.base.json -new BENCH_campaign.json
 	$(GO) run ./cmd/benchjson/benchgate -old BENCH_adaptive.base.json -new BENCH_adaptive.json
 	$(GO) run ./cmd/benchjson/benchgate -old BENCH_harden.base.json -new BENCH_harden.json
-	@rm -f BENCH_inject.base.json BENCH_campaign.base.json BENCH_adaptive.base.json BENCH_harden.base.json
+	@rm -f BENCH_inject.base.json BENCH_adaptive.base.json BENCH_harden.base.json
+
+# The benchmark program under internal/bench is its own Go module, so the
+# root vet, fidelitylint and test targets never reach it. Check it here with
+# the same offline settings internal/bench/run.sh builds it with.
+BENCH_ENV := GOPROXY=off GOFLAGS=-mod=readonly GOWORK=off GOTOOLCHAIN=local
+bench-module:
+	$(GO) build -o bin/fidelitylint ./cmd/fidelitylint
+	cd internal/bench && $(BENCH_ENV) $(GO) vet ./...
+	cd internal/bench && $(BENCH_ENV) $(GO) vet -vettool=$(CURDIR)/bin/fidelitylint ./...
+	cd internal/bench && $(BENCH_ENV) $(GO) test ./...
 
 fmt:
 	@diff=$$(gofmt -l .); \
@@ -139,9 +146,9 @@ harden:
 	$(GO) run ./cmd/fidelity harden $(HARDEN_FLAGS)
 
 # The hardening end-to-end suite under -race: golden bit-identity with clamps
-# installed, byte-identical hardened campaigns at 1/2/4 workers and replay
-# on/off, interrupt/resume with the hardening checkpoint identity, and the
-# full pipeline meeting the ASIL-D budget. Mirrors CI's harden-e2e job.
+# installed, byte-identical hardened campaigns at 1/2/4 workers,
+# interrupt/resume with the hardening checkpoint identity, and the full
+# pipeline meeting the ASIL-D budget. Mirrors CI's harden-e2e job.
 e2e-harden:
 	$(GO) test -race -count=1 ./internal/harden/
 
@@ -149,4 +156,4 @@ e2e-harden:
 # build, test. Everything here runs offline.
 verify: fmt vet fidelitylint build test
 
-ci: fmt vet fidelitylint build test race chaos chaos-distrib bench
+ci: fmt vet fidelitylint build test race chaos chaos-distrib bench bench-module

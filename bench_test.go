@@ -37,7 +37,6 @@ import (
 	"fidelity/internal/harden"
 	"fidelity/internal/inject"
 	"fidelity/internal/model"
-	"fidelity/internal/nn"
 	"fidelity/internal/numerics"
 	"fidelity/internal/reuse"
 	"fidelity/internal/rtlsim"
@@ -301,9 +300,10 @@ func BenchmarkInjection(b *testing.B) {
 	}
 }
 
-// benchInjector builds a prepared injector for net with the replay engine on
-// or off, mirroring BenchmarkInjection's setup.
-func benchInjector(b *testing.B, net string, disableReplay bool) *inject.Injector {
+// benchInjector builds a prepared injector for net, mirroring
+// BenchmarkInjection's setup. Without replay its golden carries no replay
+// trace, so every experiment runs the full forward pass.
+func benchInjector(b *testing.B, net string, withReplay bool) *inject.Injector {
 	b.Helper()
 	cfg := accel.NVDLASmall()
 	w, err := model.Build(net, numerics.FP16, 42)
@@ -319,12 +319,15 @@ func benchInjector(b *testing.B, net string, disableReplay bool) *inject.Injecto
 		b.Fatal(err)
 	}
 	inj := inject.New(w, s)
-	inj.DisableReplay = disableReplay
 	x, err := dataset.Sample(w.Dataset, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := inj.Prepare(x); err != nil {
+	g, err := inject.TraceGolden(w, x, withReplay)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := inj.PrepareGolden(g); err != nil {
 		b.Fatal(err)
 	}
 	return inj
@@ -338,13 +341,13 @@ func benchInjector(b *testing.B, net string, disableReplay bool) *inject.Injecto
 // per-workload speedups.
 func BenchmarkInjectionReplay(b *testing.B) {
 	modes := []struct {
-		name    string
-		disable bool
-	}{{"replay", false}, {"full", true}}
+		name   string
+		replay bool
+	}{{"replay", true}, {"full", false}}
 	for _, net := range []string{"inception", "resnet", "mobilenet"} {
 		for _, mode := range modes {
 			b.Run(net+"/"+mode.name, func(b *testing.B) {
-				inj := benchInjector(b, net, mode.disable)
+				inj := benchInjector(b, net, mode.replay)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := inj.Run(context.Background(), faultmodel.CBUFMACWeight, 0.1); err != nil {
@@ -360,7 +363,7 @@ func BenchmarkInjectionReplay(b *testing.B) {
 	// returns without executing any downstream layer.
 	for _, mode := range modes {
 		b.Run("masked-at-layer/"+mode.name, func(b *testing.B) {
-			inj := benchInjector(b, "resnet", mode.disable)
+			inj := benchInjector(b, "resnet", mode.replay)
 			idx := -1
 			for i := 0; i < inj.Executions(); i++ {
 				if inj.Execution(i).Site.Name() == "res2/proj" {
@@ -419,47 +422,6 @@ func BenchmarkAdaptive(b *testing.B) {
 					exps = res.Experiments
 				}
 				b.ReportMetric(float64(exps), "ns/op")
-			})
-		}
-	}
-}
-
-// BenchmarkCampaign measures full-campaign wall clock — golden trace, every
-// fault model, tallies, FIT — under the optimized execution stack (tiled
-// kernels, dirty-region sweeps, site-grouped experiment batching, one shared
-// golden trace per input) against the engine exactly as it stood before that
-// stack landed: reference kernels, whole-layer recomputes, unbatched shard
-// loop, per-shard golden tracing. The replay engine itself is on in both
-// modes (it predates the stack), so the ratio isolates this PR's
-// contribution. `make bench-json` turns it into BENCH_campaign.json with
-// per-workload speedups and their geomean.
-func BenchmarkCampaign(b *testing.B) {
-	cfg := accel.NVDLASmall()
-	modes := []struct {
-		name     string
-		baseline bool
-	}{{"optimized", false}, {"baseline", true}}
-	for _, net := range []string{"inception", "resnet", "mobilenet", "yolo"} {
-		w, err := model.Build(net, numerics.FP16, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range modes {
-			b.Run(net+"/"+mode.name, func(b *testing.B) {
-				opts := campaign.StudyOptions{Samples: 24, Inputs: 1, Tolerance: 0.1, Seed: 1}
-				if mode.baseline {
-					nn.SetReferenceKernels(true)
-					defer nn.SetReferenceKernels(false)
-					opts.DisableRegionSweep = true
-					opts.ExperimentBatch = 1
-					opts.DisableGoldenShare = true
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := campaign.Study(context.Background(), cfg, w, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
 			})
 		}
 	}

@@ -1,13 +1,12 @@
 // Command benchgate compares two benchjson artifacts and fails when the
 // fresh run's geomean speedup has regressed beyond a tolerance against the
-// committed baseline. CI's bench-trajectory job runs it for both
-// BENCH_inject.json and BENCH_campaign.json, so a change that erodes the
-// optimization stack's advantage fails the build instead of silently
-// shipping.
+// committed baseline. CI's bench-trajectory job runs it for every
+// remeasured BENCH_*.json artifact, so a change that erodes the optimization
+// stack's advantage fails the build instead of silently shipping.
 //
 // Usage:
 //
-//	benchgate -old BENCH_campaign.json -new BENCH_campaign.new.json [-tolerance 0.10]
+//	benchgate -old BENCH_inject.json -new BENCH_inject.new.json [-tolerance 0.10]
 //
 // The gate passes when new geomean >= old geomean * (1 - tolerance). Only the
 // geomean is gated: per-workload ns/op moves with machine load, but the

@@ -1,17 +1,16 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // benchstat-compatible JSON artifact: per-benchmark ns/op and allocs/op, plus
-// paired optimized-vs-baseline speedups per workload and their geomean. Two
-// benchmark families pair up (both may appear in one stream):
+// paired optimized-vs-baseline speedups per workload and their geomean. These
+// benchmark families pair up (several may appear in one stream):
 //
 //	BenchmarkInjectionReplay/<workload>/{replay,full}      -> BENCH_inject.json
-//	BenchmarkCampaign/<workload>/{optimized,baseline}      -> BENCH_campaign.json
 //	BenchmarkAdaptive/<workload>/{adaptive,fixed}          -> BENCH_adaptive.json
 //	BenchmarkHarden/<workload>/{hardened,baseline}         -> BENCH_harden.json
 //
 // Usage:
 //
 //	go test -run '^$' -bench '^BenchmarkInjectionReplay$' -benchmem . | benchjson -o BENCH_inject.json
-//	go test -run '^$' -bench '^BenchmarkCampaign$' . | benchjson -o BENCH_campaign.json
+//	go test -run '^$' -bench '^BenchmarkAdaptive$' . | benchjson -o BENCH_adaptive.json
 //
 // The companion command cmd/benchjson/benchgate compares two such artifacts
 // and fails when the geomean regresses, enforcing the benchmark trajectory
@@ -41,7 +40,7 @@ type Benchmark struct {
 
 // Speedup is baseline time over optimized time for one paired workload. For
 // BenchmarkInjectionReplay the optimized mode is /replay and the baseline is
-// /full; for BenchmarkCampaign they are /optimized and /baseline.
+// /full.
 type Speedup struct {
 	Workload    string  `json:"workload"`
 	OptimizedNs float64 `json:"optimized_ns_per_op"`
@@ -49,7 +48,7 @@ type Speedup struct {
 	Speedup     float64 `json:"speedup"`
 }
 
-// Report is the BENCH_inject.json / BENCH_campaign.json schema.
+// Report is the schema of the BENCH_*.json artifacts.
 type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
@@ -73,7 +72,6 @@ var pairSpecs = []struct {
 	fast, slow string
 }{
 	{"BenchmarkInjectionReplay/", "replay", "full"},
-	{"BenchmarkCampaign/", "optimized", "baseline"},
 	// BenchmarkAdaptive reports experiments-per-campaign as its ns/op value,
 	// so this pair's "speedup" is the fixed/adaptive experiment ratio at
 	// equal Wilson-CI resolution.

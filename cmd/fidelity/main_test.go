@@ -33,18 +33,6 @@ func runCLI(t *testing.T, args ...string) (string, int) {
 	return buf.String(), code
 }
 
-func TestSensitivityBatchFlagRejectsNonPositive(t *testing.T) {
-	for _, bad := range []string{"0", "-1"} {
-		out, code := runCLI(t, "sensitivity", "-batch", bad)
-		if code != 2 {
-			t.Errorf("sensitivity -batch %s: exit %d, want usage exit 2\n%s", bad, code, out)
-		}
-		if !strings.Contains(out, "-batch must be positive") {
-			t.Errorf("sensitivity -batch %s: missing validation message:\n%s", bad, out)
-		}
-	}
-}
-
 func TestSensitivityTargetCIExcludesSamples(t *testing.T) {
 	out, code := runCLI(t, "sensitivity", "-target-ci", "0.05", "-samples", "100")
 	if code != 2 || !strings.Contains(out, "mutually exclusive") {
@@ -53,7 +41,7 @@ func TestSensitivityTargetCIExcludesSamples(t *testing.T) {
 }
 
 func TestSensitivityTargetCIRangeValidated(t *testing.T) {
-	for _, bad := range []string{"0.6", "-0.2"} {
+	for _, bad := range []string{"0.6", "-0.2", "NaN"} {
 		out, code := runCLI(t, "sensitivity", "-target-ci", bad)
 		if code != 2 || !strings.Contains(out, "-target-ci must be in (0, 0.5]") {
 			t.Errorf("sensitivity -target-ci %s: exit %d, output:\n%s", bad, code, out)

@@ -39,30 +39,6 @@ func runCLI(t *testing.T, args ...string) (string, int) {
 	return buf.String(), code
 }
 
-func TestBatchFlagRejectsNonPositive(t *testing.T) {
-	for _, bad := range []string{"0", "-3"} {
-		out, code := runCLI(t, "-batch", bad, "-setup")
-		if code != 2 {
-			t.Errorf("-batch %s: exit %d, want usage exit 2\n%s", bad, code, out)
-		}
-		if !strings.Contains(out, "-batch must be positive") {
-			t.Errorf("-batch %s: missing validation message in output:\n%s", bad, out)
-		}
-	}
-}
-
-func TestBatchFlagAcceptsPositive(t *testing.T) {
-	// -setup only prints a static table, so a valid invocation exits 0
-	// without running a campaign.
-	out, code := runCLI(t, "-batch", "1", "-setup")
-	if code != 0 {
-		t.Fatalf("-batch 1 -setup: exit %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "Table IV") {
-		t.Fatalf("-setup output missing Table IV:\n%s", out)
-	}
-}
-
 func TestExistingFlagValidationStillExitsTwo(t *testing.T) {
 	out, code := runCLI(t, "-samples", "0", "-setup")
 	if code != 2 || !strings.Contains(out, "-samples must be positive") {
@@ -78,7 +54,7 @@ func TestTargetCIExcludesSamples(t *testing.T) {
 }
 
 func TestTargetCIRangeValidated(t *testing.T) {
-	for _, bad := range []string{"0.6", "-0.1"} {
+	for _, bad := range []string{"0.6", "-0.1", "NaN"} {
 		out, code := runCLI(t, "-target-ci", bad, "-setup")
 		if code != 2 {
 			t.Errorf("-target-ci %s: exit %d, want usage exit 2\n%s", bad, code, out)

@@ -428,12 +428,11 @@ func (sh *shardState) runAdaptive(ctx context.Context) error {
 				// Flat strata batch by predicted target site exactly like the
 				// fixed-count loop; per-layer strata pin the site already and
 				// global control never draws one.
-				batch := opts.experimentBatch()
-				if st.Exec < 0 && id != faultmodel.GlobalControl && batch > 1 {
+				if st.Exec < 0 && id != faultmodel.GlobalControl && !opts.oracle {
 					for cur.Sample < kHi {
 						n := ceilDiv(kHi-cur.Sample, opts.Inputs)
-						if n > batch {
-							n = batch
+						if n > experimentBatch {
+							n = experimentBatch
 						}
 						if err := sh.stepBatch(ctx, &cur, id, n, opts.Inputs); err != nil {
 							return err

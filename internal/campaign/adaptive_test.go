@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"fidelity/internal/accel"
@@ -15,12 +16,11 @@ import (
 
 // The adaptive-sampling differential suite. The adaptive engine's determinism
 // contract mirrors the fixed-count engine's: StudyResult JSON is a pure
-// function of (Seed, Shards, TargetCI) — never of Workers, the batch window,
-// or where an interrupt landed.
+// function of (Seed, Shards, TargetCI) — never of Workers, the execution
+// path, or where an interrupt landed.
 
 // TestAdaptiveWorkerDeterminism: the round-barrier design must make adaptive
-// results byte-identical across worker counts, and independent of the
-// experiment batch window.
+// results byte-identical across worker counts, and identical to the oracle.
 func TestAdaptiveWorkerDeterminism(t *testing.T) {
 	w := engineWorkload(t)
 	base := StudyOptions{TargetCI: 0.15, Inputs: 2, Tolerance: 0.1, Seed: 9, Shards: 8}
@@ -39,13 +39,13 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 				workers, want, workers, got)
 		}
 	}
-	// The batch window is an execution-order optimization in adaptive rounds
-	// too: unbatched must match exactly.
+	// Batching, replay and golden sharing are execution-order optimizations
+	// in adaptive rounds too: the oracle path must match exactly.
 	opts := base
 	opts.Workers = 4
-	opts.ExperimentBatch = 1
+	opts.oracle = true
 	if got := studyJSON(t, w, opts); !bytes.Equal(want, got) {
-		t.Errorf("adaptive StudyResult JSON differs unbatched:\nbatched:   %s\nunbatched: %s", want, got)
+		t.Errorf("adaptive StudyResult JSON differs from the oracle:\noptimised: %s\noracle:    %s", want, got)
 	}
 }
 
@@ -169,6 +169,7 @@ func TestAdaptiveValidation(t *testing.T) {
 		{"both modes", StudyOptions{Samples: 10, TargetCI: 0.1, Inputs: 1, Tolerance: 0.1}},
 		{"target too wide", StudyOptions{TargetCI: 0.6, Inputs: 1, Tolerance: 0.1}},
 		{"negative target", StudyOptions{Samples: 10, TargetCI: -0.1, Inputs: 1, Tolerance: 0.1}},
+		{"NaN target", StudyOptions{TargetCI: math.NaN(), Inputs: 1, Tolerance: 0.1}},
 		{"adaptive without inputs", StudyOptions{TargetCI: 0.1, Tolerance: 0.1}},
 	}
 	for _, tc := range cases {

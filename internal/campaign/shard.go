@@ -80,7 +80,7 @@ func RunShard(ctx context.Context, cfg *accel.Config, w *model.Workload, opts St
 	if err != nil {
 		return ShardCheckpoint{}, err
 	}
-	if !opts.DisableGoldenShare {
+	if !opts.oracle {
 		opts.golden = &goldenCache{}
 	}
 	sh := newShardState(run.Index, shardSeed(opts.Seed, run.Index), w, models, opts)

@@ -25,15 +25,14 @@ import (
 // (Seed, Shards), never on the worker count.
 const DefaultShards = 16
 
-// DefaultExperimentBatch is the shard loop's experiment batch window when
-// StudyOptions.ExperimentBatch is zero: consecutive flat-mode experiments are
-// pre-drawn, grouped by their target site execution, and run group by group
-// so same-site experiments amortize one golden prefix and one arena working
-// set. Batching changes execution order only — every experiment draws its
-// whole stream from a cursor-derived seed and tallies commit in cursor order
-// at batch boundaries, so results and checkpoints are byte-identical to an
-// unbatched run.
-const DefaultExperimentBatch = 64
+// experimentBatch is the shard loop's experiment batch window: consecutive
+// flat-mode experiments are pre-drawn, grouped by their target site
+// execution, and run group by group so same-site experiments amortize one
+// golden prefix and one arena working set. Batching changes execution order
+// only — every experiment draws its whole stream from a cursor-derived seed
+// and tallies commit in cursor order at batch boundaries, so results and
+// checkpoints are byte-identical to the unbatched oracle run.
+const experimentBatch = 64
 
 // StudyOptions parameterizes a Sec. V resilience study for one workload.
 type StudyOptions struct {
@@ -114,30 +113,6 @@ type StudyOptions struct {
 	// select DefaultIORetries and DefaultIOBackoff.
 	IORetries int
 	IOBackoff time.Duration
-	// DisableReplay forces every experiment through the legacy full forward
-	// pass instead of the incremental golden-replay engine. Results are
-	// bit-identical either way (the replay engine's correctness bar), so the
-	// flag is NOT part of a study's checkpoint identity: a checkpoint taken
-	// with replay on may be resumed with replay off and vice versa.
-	DisableReplay bool
-	// DisableRegionSweep makes replayed recomputes cover whole layers instead
-	// of only the dirty output region. Bit-identical either way; like
-	// DisableReplay it is an escape hatch and differential-testing switch, and
-	// NOT part of the checkpoint identity.
-	DisableRegionSweep bool
-	// ExperimentBatch sets the shard loop's experiment batch window: 0 selects
-	// DefaultExperimentBatch, 1 (or negative) disables batching. Batching
-	// groups consecutive flat-mode experiments by their predicted target site
-	// and is a pure execution-order optimization — results and checkpoints are
-	// byte-identical for every value, so it is NOT part of the checkpoint
-	// identity.
-	ExperimentBatch int
-	// DisableGoldenShare makes every shard record its own golden trace per
-	// input instead of sharing one recording across the run — the historical
-	// per-shard behavior. The recordings are identical, so this is purely a
-	// wall-clock switch (differential testing, benchmarking the old cost) and
-	// NOT part of the checkpoint identity.
-	DisableGoldenShare bool
 
 	// chaos is the test-only failure injector of the chaos self-test
 	// harness; always nil in production.
@@ -145,24 +120,30 @@ type StudyOptions struct {
 	// observe is a test-only per-experiment observer, called for every
 	// completed (non-quarantined) experiment.
 	observe func(shard int, cur Cursor, id faultmodel.ID, r inject.Result)
+	// oracle selects the test-only reference path the optimised engine is
+	// proven byte-identical against: goldens traced without replay (every
+	// experiment is a plain full forward pass), the unbatched step loop, and
+	// per-shard golden tracing instead of the shared cache. Always false in
+	// production, and not part of the checkpoint identity.
+	oracle bool
 	// golden shares one recorded golden trace per input across every shard
 	// of a run (the trace is immutable during replay, so sharing is safe);
 	// set by Study and RunShard before the shard states copy the options.
-	// nil (e.g. options built by tests calling shard internals directly)
-	// falls back to per-shard golden tracing.
+	// nil (the oracle, or options built by tests calling shard internals
+	// directly) falls back to per-shard golden tracing.
 	golden *goldenCache
 }
 
 // goldenCache memoizes the per-input golden state (sampled input tensor,
 // clean inference, replay trace, sampling weights) so a run's shards record
-// it once instead of once per shard. Keyed by input index: the workload and
-// replay mode are fixed for the run the cache belongs to.
+// it once instead of once per shard. Keyed by input index: the workload is
+// fixed for the run the cache belongs to.
 type goldenCache struct {
 	mu      sync.Mutex
 	entries map[int]*inject.Golden
 }
 
-func (c *goldenCache) get(w *model.Workload, input int, withReplay bool) (*inject.Golden, error) {
+func (c *goldenCache) get(w *model.Workload, input int) (*inject.Golden, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if g, ok := c.entries[input]; ok {
@@ -172,7 +153,7 @@ func (c *goldenCache) get(w *model.Workload, input int, withReplay bool) (*injec
 	if err != nil {
 		return nil, err
 	}
-	g, err := inject.TraceGolden(w, x, withReplay)
+	g, err := inject.TraceGolden(w, x, true)
 	if err != nil {
 		return nil, err
 	}
@@ -194,37 +175,24 @@ func (o StudyOptions) shards() int {
 // validate rejects inconsistent sampling options: exactly one of Samples
 // (fixed-count) and TargetCI (adaptive) must drive the campaign.
 func (o StudyOptions) validate() error {
-	if o.TargetCI > 0 {
-		if o.Samples != 0 {
-			return fmt.Errorf("campaign: Samples and TargetCI are mutually exclusive")
-		}
-		if o.TargetCI > 0.5 {
-			return fmt.Errorf("campaign: TargetCI must be in (0, 0.5], got %v", o.TargetCI)
-		}
-		if o.Inputs <= 0 {
-			return fmt.Errorf("campaign: Inputs must be positive")
+	if o.TargetCI == 0 {
+		if o.Samples <= 0 || o.Inputs <= 0 {
+			return fmt.Errorf("campaign: Samples and Inputs must be positive")
 		}
 		return nil
 	}
-	if o.TargetCI < 0 {
+	// Written as a negated in-range test so NaN, which compares false
+	// against every bound, is rejected too.
+	if !(o.TargetCI > 0 && o.TargetCI <= 0.5) {
 		return fmt.Errorf("campaign: TargetCI must be in (0, 0.5], got %v", o.TargetCI)
 	}
-	if o.Samples <= 0 || o.Inputs <= 0 {
-		return fmt.Errorf("campaign: Samples and Inputs must be positive")
+	if o.Samples != 0 {
+		return fmt.Errorf("campaign: Samples and TargetCI are mutually exclusive")
+	}
+	if o.Inputs <= 0 {
+		return fmt.Errorf("campaign: Inputs must be positive")
 	}
 	return nil
-}
-
-// experimentBatch returns the resolved batch window (1 = unbatched).
-func (o StudyOptions) experimentBatch() int {
-	switch {
-	case o.ExperimentBatch > 0:
-		return o.ExperimentBatch
-	case o.ExperimentBatch < 0:
-		return 1
-	default:
-		return DefaultExperimentBatch
-	}
 }
 
 // shardSeed derives the independent stream seed of one logical shard.
@@ -503,12 +471,17 @@ func (sh *shardState) setInput(idx int) error {
 // prepare initializes inj for the shard's current input, going through the
 // run's shared golden cache when the campaign provides one so all shards
 // reuse one sampled input and one recorded trace per input instead of
-// re-running the golden inference sixteen times.
+// re-running the golden inference sixteen times. Without the cache the shard
+// traces its own golden; the oracle's carries no replay trace.
 func (sh *shardState) prepare(inj *inject.Injector) error {
 	if sh.opts.golden == nil {
-		return inj.Prepare(sh.input)
+		g, err := inject.TraceGolden(sh.w, sh.input, !sh.opts.oracle)
+		if err != nil {
+			return err
+		}
+		return inj.PrepareGolden(g)
 	}
-	g, err := sh.opts.golden.get(sh.w, sh.inputIdx, !sh.opts.DisableReplay)
+	g, err := sh.opts.golden.get(sh.w, sh.inputIdx)
 	if err != nil {
 		return err
 	}
@@ -528,8 +501,6 @@ func (sh *shardState) ensureInjector() error {
 	}
 	if sh.inj == nil {
 		inj := inject.New(sh.w, sh.sampler)
-		inj.DisableReplay = sh.opts.DisableReplay
-		inj.DisableRegionSweep = sh.opts.DisableRegionSweep
 		if err := sh.prepare(inj); err != nil {
 			return err
 		}
@@ -824,8 +795,7 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 			// Flat mode: batch the sample loop. Global-control experiments
 			// never draw a target (they classify without a forward pass), so
 			// site grouping has nothing to amortize — they stay sequential.
-			batch := opts.experimentBatch()
-			if batch <= 1 || id == faultmodel.GlobalControl {
+			if opts.oracle || id == faultmodel.GlobalControl {
 				for ; cur.Sample < mine; cur.Sample++ {
 					if err := sh.step(ctx, cur, id, -1); err != nil {
 						return err
@@ -834,7 +804,7 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 				continue
 			}
 			for cur.Sample < mine {
-				n := batch
+				n := experimentBatch
 				if rem := mine - cur.Sample; n > rem {
 					n = rem
 				}
@@ -938,7 +908,7 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 
 	// Build the logical shards, restoring from a matching checkpoint. All
 	// shards of this run share one golden trace per input.
-	if !opts.DisableGoldenShare {
+	if !opts.oracle {
 		opts.golden = &goldenCache{}
 	}
 	shards := opts.shards()

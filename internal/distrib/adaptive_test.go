@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -169,6 +170,7 @@ func TestDistribAdaptiveSpecValidate(t *testing.T) {
 		{"both samples and target_ci", func(s *CampaignSpec) { s.TargetCI = 0.1 }},
 		{"target_ci too wide", func(s *CampaignSpec) { s.Samples = 0; s.TargetCI = 0.7 }},
 		{"negative target_ci", func(s *CampaignSpec) { s.TargetCI = -0.1 }},
+		{"NaN target_ci", func(s *CampaignSpec) { s.Samples = 0; s.TargetCI = math.NaN() }},
 	}
 	for _, tc := range cases {
 		spec := testSpec()

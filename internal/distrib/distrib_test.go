@@ -346,6 +346,93 @@ func TestCampaignSpecValidate(t *testing.T) {
 	}
 }
 
+// withRetiredFields re-encodes the JSON object blob with the execution knobs
+// older specs carried ("disable_replay", "experiment_batch"), which no
+// CampaignSpec field decodes any more.
+func withRetiredFields(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &obj); err != nil {
+		t.Fatal(err)
+	}
+	obj["disable_replay"] = json.RawMessage("true")
+	obj["experiment_batch"] = json.RawMessage("1")
+	out, err := json.Marshal(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCampaignSpecRetiredFieldsCompat: a spec body or coordinator state
+// written while CampaignSpec still carried the disable_replay and
+// experiment_batch execution knobs must keep decoding and validating, and
+// must assemble the same result as the spec without them.
+func TestCampaignSpecRetiredFieldsCompat(t *testing.T) {
+	spec := testSpec()
+	want := baselineJSON(t, spec)
+
+	blob, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy CampaignSpec
+	if err := json.Unmarshal(withRetiredFields(t, blob), &legacy); err != nil {
+		t.Fatalf("spec body with retired fields must decode: %v", err)
+	}
+	legacy = legacy.Normalize()
+	if err := legacy.Validate(); err != nil {
+		t.Fatalf("spec body with retired fields rejected: %v", err)
+	}
+	if legacy != spec {
+		t.Fatalf("decoded legacy spec %+v, want %+v", legacy, spec)
+	}
+
+	// A coordinator started from the legacy body finishes two shards; its
+	// persisted state then gets the retired fields written back into its
+	// spec, and a restarted coordinator must resume from it.
+	statePath := filepath.Join(t.TempDir(), "coordinator.json")
+	copts := CoordinatorOptions{Spec: legacy, LeaseTTL: 2 * time.Second, StatePath: statePath}
+	c1, err := NewCoordinator(copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := httptest.NewServer(c1.Handler())
+	finishShards(t, srv1, c1, legacy, "early", 2)
+	srv1.Close()
+
+	var st map[string]json.RawMessage
+	if err := campaign.ReadSealedJSON(statePath, &st); err != nil {
+		t.Fatal(err)
+	}
+	st["spec"] = withRetiredFields(t, st["spec"])
+	if err := campaign.AtomicWriteSealedJSON(statePath, st); err != nil {
+		t.Fatal(err)
+	}
+
+	copts.Spec = spec
+	c2, err := NewCoordinator(copts)
+	if err != nil {
+		t.Fatalf("state with retired spec fields must load: %v", err)
+	}
+	if got := c2.Status().Shards.Done; got != 2 {
+		t.Errorf("resumed %d finished shards, want 2", got)
+	}
+	srv2 := httptest.NewServer(c2.Handler())
+	defer srv2.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	wait := startWorkers(ctx, t, srv2.URL, 2, "w")
+	res, err := c2.Result(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	if got := resultJSON(t, res); string(got) != string(want) {
+		t.Errorf("result from state with retired spec fields differs from baseline:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestLeaseTableStaleReport: once a lease expires and the shard is re-issued,
 // the original holder's reports are rejected so a resurrected worker cannot
 // clobber the shard's new owner.

@@ -57,11 +57,6 @@ type CampaignSpec struct {
 	Seed     int64   `json:"seed"`
 	Shards   int     `json:"shards"`
 	PerLayer bool    `json:"per_layer,omitempty"`
-	// Execution knobs that do not affect results.
-	DisableReplay bool `json:"disable_replay,omitempty"`
-	// ExperimentBatch is the shard loop's site-grouped batch window
-	// (0 = engine default, 1 = unbatched); byte-identical either way.
-	ExperimentBatch int `json:"experiment_batch,omitempty"`
 	// Supervision knobs (these DO affect a degraded campaign's quarantine
 	// list, so they are part of the spec, not per-worker choices).
 	ExperimentTimeout time.Duration `json:"experiment_timeout,omitempty"`
@@ -77,11 +72,6 @@ func (s CampaignSpec) Normalize() CampaignSpec {
 	if s.Precision == "" {
 		s.Precision = numerics.FP16.String()
 	}
-	if s.ExperimentBatch == 0 {
-		// Resolve the engine default here so specs written before and after
-		// the CLIs started passing an explicit batch window compare equal.
-		s.ExperimentBatch = campaign.DefaultExperimentBatch
-	}
 	return s
 }
 
@@ -90,15 +80,14 @@ func (s CampaignSpec) Validate() error {
 	if s.Workload == "" {
 		return fmt.Errorf("distrib: spec names no workload")
 	}
-	if s.TargetCI > 0 {
+	if s.TargetCI != 0 {
+		// Negated in-range test: NaN compares false against every bound.
+		if !(s.TargetCI > 0 && s.TargetCI <= 0.5) {
+			return fmt.Errorf("distrib: target_ci must be in (0, 0.5] (got %g)", s.TargetCI)
+		}
 		if s.Samples != 0 {
 			return fmt.Errorf("distrib: samples and target_ci are mutually exclusive")
 		}
-		if s.TargetCI > 0.5 {
-			return fmt.Errorf("distrib: target_ci must be in (0, 0.5] (got %g)", s.TargetCI)
-		}
-	} else if s.TargetCI < 0 {
-		return fmt.Errorf("distrib: target_ci must be in (0, 0.5] (got %g)", s.TargetCI)
 	} else if s.Samples <= 0 {
 		return fmt.Errorf("distrib: samples must be positive (got %d)", s.Samples)
 	}
@@ -126,8 +115,6 @@ func (s CampaignSpec) Options() campaign.StudyOptions {
 		Seed:              s.Seed,
 		Shards:            s.Shards,
 		PerLayer:          s.PerLayer,
-		DisableReplay:     s.DisableReplay,
-		ExperimentBatch:   s.ExperimentBatch,
 		ExperimentTimeout: s.ExperimentTimeout,
 		FailureBudget:     s.FailureBudget,
 	}

@@ -114,16 +114,6 @@ type Injector struct {
 	W       *model.Workload
 	Sampler *faultmodel.Sampler
 
-	// DisableReplay forces every experiment through the legacy full forward
-	// pass. The replay engine is bit-identical to it; the switch exists for
-	// differential testing and as an operational escape hatch.
-	DisableReplay bool
-
-	// DisableRegionSweep makes replayed recomputes cover whole layers instead
-	// of only the dirty output region. Bit-identical either way; the switch
-	// exists for differential testing and as an operational escape hatch.
-	DisableRegionSweep bool
-
 	// cached golden state per input
 	input   *tensor.Tensor
 	golden  model.AppOutput
@@ -131,7 +121,7 @@ type Injector struct {
 	weights []float64
 	total   float64
 
-	// replay state (nil when DisableReplay)
+	// replay state (nil when the golden was traced without replay)
 	trace *nn.GoldenTrace
 	arena *nn.Arena
 	rctx  *nn.Context
@@ -164,7 +154,8 @@ func (g *Golden) Input() *tensor.Tensor { return g.input }
 
 // TraceGolden runs the golden inference for x and records the shared golden
 // state. withReplay selects the activation-recording trace the replay engine
-// consumes; pass false only when every sharing injector sets DisableReplay.
+// consumes; without it every experiment prepared from the Golden runs the
+// full forward pass, the reference the replay engine is tested against.
 func TraceGolden(w *model.Workload, x *tensor.Tensor, withReplay bool) (*Golden, error) {
 	g := &Golden{input: x}
 	var out *tensor.Tensor
@@ -189,13 +180,13 @@ func TraceGolden(w *model.Workload, x *tensor.Tensor, withReplay bool) (*Golden,
 }
 
 // Prepare runs the golden inference for input x and caches the trace —
-// including, unless DisableReplay is set, the golden output tensor of every
-// layer execution, which subsequent Runs replay incrementally instead of
-// recomputing the full network. Must be called before Run; call again to
-// switch inputs. Campaigns with several injectors over the same input should
-// TraceGolden once and PrepareGolden each injector instead.
+// including the golden output tensor of every layer execution, which
+// subsequent Runs replay incrementally instead of recomputing the full
+// network. Must be called before Run; call again to switch inputs. Campaigns
+// with several injectors over the same input should TraceGolden once and
+// PrepareGolden each injector instead.
 func (in *Injector) Prepare(x *tensor.Tensor) error {
-	g, err := TraceGolden(in.W, x, !in.DisableReplay)
+	g, err := TraceGolden(in.W, x, true)
 	if err != nil {
 		return err
 	}
@@ -203,26 +194,21 @@ func (in *Injector) Prepare(x *tensor.Tensor) error {
 }
 
 // PrepareGolden initializes the injector from a shared Golden, skipping the
-// golden forward pass. g must have been traced with withReplay matching
-// !in.DisableReplay, for the injector's own workload.
+// golden forward pass. g must have been traced for the injector's own
+// workload. Runs replay exactly when g carries a replay trace.
 func (in *Injector) PrepareGolden(g *Golden) error {
-	if (g.trace == nil) != in.DisableReplay {
-		return fmt.Errorf("inject: golden trace recorded with withReplay=%v but injector has DisableReplay=%v",
-			g.trace != nil, in.DisableReplay)
-	}
 	in.input = g.input
 	in.golden = g.golden
 	in.execs = g.execs
 	in.weights = g.weights
 	in.total = g.total
 	in.trace = g.trace
-	if in.DisableReplay {
+	if in.trace == nil {
 		in.arena, in.rctx = nil, nil
 		return nil
 	}
 	in.arena = nn.NewArena()
 	in.rctx = nn.NewReplayContext(in.trace, in.arena)
-	in.rctx.SetRegionSweep(!in.DisableRegionSweep)
 	return nil
 }
 

@@ -17,8 +17,9 @@ import (
 // identity on clean data (golden traces never contain NaN). Only
 // fault-perturbed values can saturate. The clamp is applied at
 // value-equivalent points of every execution path — plain, record, replay
-// skip/seed/recompute, and the dirty-region sweep — so replay on/off stays
-// bit-identical for the hardened network too (DESIGN.md §11).
+// skip/seed/recompute, and the dirty-region sweep — so replay stays
+// bit-identical to the full forward pass for the hardened network too
+// (DESIGN.md §11).
 
 // Bound is a closed activation envelope for one compute site. Values below
 // Lo (including NaN, which only faults can produce) saturate to Lo; values

@@ -108,12 +108,7 @@ func (l *Conv2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		op := &Operands{In: x, W: l.W, B: l.B, Out: out}
 
 		rin := l.codec.RoundSlice(x.Data())
-		rw := l.roundedW()
-		if UseReferenceKernels() {
-			convForwardRef(l, x, out, rin, rw)
-		} else {
-			convForward(l.kernelArgs(x, out, rin, 0))
-		}
+		convForward(l.kernelArgs(x, out, rin, 0))
 		ctx.fire(l, op)
 		return out
 	}, func(out *tensor.Tensor) *Operands {

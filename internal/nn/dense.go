@@ -86,20 +86,16 @@ func (l *Dense) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		// the same order as ComputeNeuron (bit-identical; see Conv2D.Forward).
 		rin := l.codec.RoundSlice(flat.Data())
 		rw := l.roundedW()
-		if UseReferenceKernels() {
-			denseForwardRef(l, out, rin, rw, batch)
-		} else {
-			var bias []float32
-			if l.B != nil {
-				bias = l.B.Data()
-			}
-			denseForward(&denseArgs{
-				rin: rin, rw: rw, bias: bias, out: out.Data(),
-				batch: batch, in: l.In, outN: l.Out,
-				fp16:  l.codec.Precision() == numerics.FP16,
-				codec: l.codec,
-			})
+		var bias []float32
+		if l.B != nil {
+			bias = l.B.Data()
 		}
+		denseForward(&denseArgs{
+			rin: rin, rw: rw, bias: bias, out: out.Data(),
+			batch: batch, in: l.In, outN: l.Out,
+			fp16:  l.codec.Precision() == numerics.FP16,
+			codec: l.codec,
+		})
 		ctx.fire(l, op)
 		return out
 	}, func(out *tensor.Tensor) *Operands {

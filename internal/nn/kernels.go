@@ -10,20 +10,15 @@ package nn
 //     into row bands across goroutines when GOMAXPROCS allows);
 //   - the replay engine's region sweep, which recomputes only the output box
 //     reached by a fault's dirty input region (region.go);
-//   - the kernel equivalence tests, which sweep random tiles against the
-//     reference implementations below.
+//   - the kernel equivalence tests, which compare every kernel against
+//     per-neuron Site.ComputeNeuron.
 //
 // Bit-exactness contract: for every output neuron the accumulation order over
-// (ky, kx, ic) — or p for matmul, i for dense — is identical to the reference
-// kernels and to Site.ComputeNeuron, and FP16 products are rounded through
-// numerics.RoundHalf exactly where the reference rounds them. Tiling only
-// changes which outputs are computed, never how one output is computed, so
-// any tile decomposition produces bit-identical results.
-//
-// The reference kernels are the pre-tiling layer loops (including the
-// reference FP16 rounding path). They are kept both as the oracle for the
-// equivalence tests and as the honest "replay engine as of PR 4" baseline for
-// BENCH_campaign.json.
+// (ky, kx, ic) — or p for matmul, i for dense — is identical to
+// Site.ComputeNeuron, and FP16 products are rounded through numerics.RoundHalf
+// exactly where codec.Mul rounds them. Tiling only changes which outputs are
+// computed, never how one output is computed, so any tile decomposition
+// produces bit-identical results.
 
 import (
 	"runtime"
@@ -32,18 +27,6 @@ import (
 
 	"fidelity/internal/numerics"
 )
-
-// referenceKernels routes layer forwards through the pre-tiling reference
-// loops when set. Campaign differential tests and the benchmark baseline
-// flip it; production always runs the tiled kernels.
-var referenceKernels atomic.Bool
-
-// SetReferenceKernels selects the reference (pre-tiling) layer kernels when
-// on is true. Intended for differential tests and baseline benchmarks.
-func SetReferenceKernels(on bool) { referenceKernels.Store(on) }
-
-// UseReferenceKernels reports whether the reference kernels are active.
-func UseReferenceKernels() bool { return referenceKernels.Load() }
 
 // tileCount counts kernel tile executions process-wide (one full forward is
 // at least one tile; goroutine bands and region sweeps add more). Telemetry
@@ -100,7 +83,7 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 	}
 	for oy := oy0; oy < oy1; oy++ {
 		// Clip the kernel row range so iy = oy*stride + ky - pd stays inside
-		// [0, h); the reference kernel skips the same iterations one by one.
+		// [0, h); ComputeNeuron skips the same iterations one by one.
 		kyLo, kyHi := 0, kh
 		if iy := oy*stride - pd; iy < 0 {
 			kyLo = -iy

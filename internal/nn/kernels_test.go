@@ -22,33 +22,38 @@ func kernelCodecs() []numerics.Codec {
 	}
 }
 
-// runKernelModes evaluates f once per kernel configuration — reference
-// loops, tiled single-threaded, and tiled with forced goroutine bands (the
-// parallel path is unreachable on a single-CPU machine without the force) —
-// and requires every output to be bit-identical to the reference.
-func runKernelModes(t *testing.T, label string, f func() *tensor.Tensor) {
+// neuronwise is the kernel-level reference: it computes every output of site
+// one neuron at a time through ComputeNeuron, the path the fault models
+// already rely on for bit-exactness. Callers pass a cloned weight tensor so
+// ComputeNeuron skips the layer's pre-rounded weight cache and takes the full
+// codec.Mul rounding path.
+func neuronwise(site Site, op *Operands, shape []int) *tensor.Tensor {
+	out := tensor.New(shape...)
+	od := out.Data()
+	for i := range od {
+		od[i] = site.ComputeNeuron(op, out.Unflatten(i), nil)
+	}
+	return out
+}
+
+// runKernelModes evaluates f once per tiled-kernel configuration — single-
+// threaded and with forced goroutine bands (the parallel path is unreachable
+// on a single-CPU machine without the force) — and requires every output to
+// be bit-identical to want.
+func runKernelModes(t *testing.T, label string, want *tensor.Tensor, f func() *tensor.Tensor) {
 	t.Helper()
 	modes := []struct {
 		name    string
-		ref     bool
 		workers int32
 	}{
-		{"reference", true, 0},
-		{"tiled-serial", false, 1},
-		{"tiled-4-bands", false, 4},
-		{"tiled-7-bands", false, 7}, // ragged band split
+		{"tiled-serial", 1},
+		{"tiled-4-bands", 4},
+		{"tiled-7-bands", 7}, // ragged band split
 	}
-	var want *tensor.Tensor
 	for _, m := range modes {
-		SetReferenceKernels(m.ref)
 		forceKernelWorkers.Store(m.workers)
 		got := f()
-		SetReferenceKernels(false)
 		forceKernelWorkers.Store(0)
-		if want == nil {
-			want = got
-			continue
-		}
 		if !want.SameShape(got) {
 			t.Fatalf("%s/%s: shape %v, reference %v", label, m.name, got.Shape(), want.Shape())
 		}
@@ -92,7 +97,8 @@ func TestConvKernelEquivalence(t *testing.T) {
 			}
 			x := tensor.New(2, g.h, g.w, g.inC)
 			x.RandNormal(rng, 1)
-			runKernelModes(t, label, func() *tensor.Tensor { return l.Forward(x, nil) })
+			want := neuronwise(l, &Operands{In: x, W: l.W.Clone(), B: l.B}, l.OutputShape(x.Shape()))
+			runKernelModes(t, label, want, func() *tensor.Tensor { return l.Forward(x, nil) })
 		}
 	}
 }
@@ -120,7 +126,8 @@ func TestDenseKernelEquivalence(t *testing.T) {
 			}
 			x := tensor.New(g.batch, g.in)
 			x.RandNormal(rng, 1)
-			runKernelModes(t, label, func() *tensor.Tensor { return l.Forward(x, nil) })
+			want := neuronwise(l, &Operands{In: x, W: l.W.Clone(), B: l.B}, []int{g.batch, g.out})
+			runKernelModes(t, label, want, func() *tensor.Tensor { return l.Forward(x, nil) })
 		}
 	}
 }
@@ -152,7 +159,8 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 			}
 			b := tensor.New(bd0, bd1)
 			b.RandNormal(rng, 1)
-			runKernelModes(t, label, func() *tensor.Tensor { return site.Run(a, b, nil) })
+			want := neuronwise(site, &Operands{In: a, W: b}, []int{g.m, g.n})
+			runKernelModes(t, label, want, func() *tensor.Tensor { return site.Run(a, b, nil) })
 		}
 	}
 }

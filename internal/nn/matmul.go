@@ -66,17 +66,13 @@ func (l *MatMulSite) Run(a, b *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		// activation that changes every pass.
 		ra := l.codec.RoundSlice(a.Data())
 		rb := l.codec.RoundSlice(b.Data())
-		if UseReferenceKernels() {
-			matmulForwardRef(l, out, ra, rb, m, k, n)
-		} else {
-			matmulForward(&matmulArgs{
-				ra: ra, rb: rb, out: out.Data(),
-				m: m, k: k, n: n,
-				transposeB: l.TransposeB, scaleOut: l.ScaleOut,
-				fp16:  l.codec.Precision() == numerics.FP16,
-				codec: l.codec,
-			})
-		}
+		matmulForward(&matmulArgs{
+			ra: ra, rb: rb, out: out.Data(),
+			m: m, k: k, n: n,
+			transposeB: l.TransposeB, scaleOut: l.ScaleOut,
+			fp16:  l.codec.Precision() == numerics.FP16,
+			codec: l.codec,
+		})
 		ctx.fire(l, op)
 		return out
 	}, func(out *tensor.Tensor) *Operands {

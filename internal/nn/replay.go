@@ -195,11 +195,6 @@ func NewReplayContext(trace *GoldenTrace, arena *Arena) *Context {
 	return c
 }
 
-// SetRegionSweep toggles the dirty-region sweep (on by default). With it off,
-// a dirty input recomputes the whole layer as in the original replay engine;
-// the differential suite uses this to prove region sweeps bit-neutral.
-func (c *Context) SetRegionSweep(on bool) { c.noRegion = !on }
-
 // SetTarget arms the replay context for one experiment: hook fires exactly
 // once, at the visit-th execution of site, with operands seeded from the
 // golden trace. All per-pass state is reset.
@@ -325,7 +320,7 @@ func (c *Context) exec(l Layer, compute func() *tensor.Tensor, seed seedFn, in .
 // the output box the span reaches is recomputed. Returns handled=false to
 // fall back to a full recompute.
 func (c *Context) regionExec(l Layer, key execKey, golden *tensor.Tensor, in []*tensor.Tensor) (*tensor.Tensor, bool) {
-	if c.noRegion || c.arena == nil || len(in) != 1 || in[0] == nil {
+	if c.arena == nil || len(in) != 1 || in[0] == nil {
 		return nil, false
 	}
 	rs, ok := l.(regionSite)

@@ -169,8 +169,7 @@ func RoundHalf(f float32) float32 {
 
 // RoundHalfRef is the reference implementation of RoundHalf via a full
 // encode/decode round trip. It exists so tests can prove the fast path
-// bit-exact and so the reference (pre-tiling) kernels measure the historical
-// baseline cost honestly.
+// bit-exact.
 func RoundHalfRef(f float32) float32 {
 	return HalfFromFloat32(f).Float32()
 }

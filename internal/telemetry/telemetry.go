@@ -428,10 +428,10 @@ type Snapshot struct {
 	// result-audit pass (CoordinatorOptions.AuditFraction > 0).
 	Audit *AuditSnapshot `json:"audit,omitempty"`
 	// Replay is present only when the incremental replay engine ran (it is
-	// omitted entirely when replay is disabled).
+	// omitted entirely when no experiment replayed).
 	Replay *ReplaySnapshot `json:"replay,omitempty"`
 	// Batch is present only when the campaign ran site-grouped experiment
-	// batches (omitted for unbatched runs).
+	// batches (omitted when none ran).
 	Batch *BatchSnapshot `json:"batch,omitempty"`
 	// Kernels is present only when kernel tile counts were attributed to
 	// this collector.
