@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Coordinator address used by the `work` convenience target.
 COORDINATOR ?= http://127.0.0.1:9090
 
-.PHONY: build test race chaos chaos-distrib bench bench-json bench-gate bench-module fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
+.PHONY: build test race chaos chaos-distrib fuzz bench bench-json bench-gate bench-module fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,14 @@ chaos:
 # where flakes would hide.
 chaos-distrib:
 	$(GO) test -race -timeout 30m -count=2 -run 'TestChaos|TestDistribAudit|TestDistribDrain|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
+
+# Fuzz the fused FP16 row kernels (numerics.AxpyHalf, MulAccHalf, DotHalf)
+# and Codec.RoundInto against the reference rounding RoundHalfRef for a short
+# budget. The committed seed corpus in internal/numerics/testdata/fuzz runs
+# in every `go test` as well.
+FUZZTIME ?= 15s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMulAccHalf$$' -fuzztime $(FUZZTIME) ./internal/numerics
 
 # One iteration of every benchmark — smoke, not measurement.
 bench:
@@ -156,4 +164,4 @@ e2e-harden:
 # build, test. Everything here runs offline.
 verify: fmt vet fidelitylint build test
 
-ci: fmt vet fidelitylint build test race chaos chaos-distrib bench bench-module
+ci: fmt vet fidelitylint build test race chaos chaos-distrib fuzz bench bench-module

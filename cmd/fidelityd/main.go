@@ -143,7 +143,7 @@ func serve(ctx context.Context, args []string) error {
 	if *leaseTTL <= 0 {
 		usageError(fs, "-lease-ttl must be positive (got %v)", *leaseTTL)
 	}
-	if *auditFraction < 0 || *auditFraction > 1 {
+	if !(*auditFraction >= 0 && *auditFraction <= 1) { // negated so NaN fails too
 		usageError(fs, "-audit-fraction must be in [0,1] (got %g)", *auditFraction)
 	}
 	if *drainTimeout < 0 {

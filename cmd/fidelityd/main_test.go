@@ -59,7 +59,7 @@ func TestServeLeaseTTLStillValidated(t *testing.T) {
 }
 
 func TestServeAuditFractionValidated(t *testing.T) {
-	for _, bad := range []string{"-0.1", "1.5"} {
+	for _, bad := range []string{"-0.1", "1.5", "NaN"} {
 		out, code := runCLI(t, "serve", "-audit-fraction", bad)
 		if code != 2 {
 			t.Errorf("serve -audit-fraction %s: exit %d, want usage exit 2\n%s", bad, code, out)

@@ -3,8 +3,10 @@ package distrib
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,6 +111,17 @@ func TestChaosTransportDifferential(t *testing.T) {
 						pr.name, workers, got, want)
 				}
 			})
+		}
+	}
+}
+
+// TestDistribAuditFractionValidated: NewCoordinator rejects an audit
+// fraction outside [0,1], NaN included, before it builds anything.
+func TestDistribAuditFractionValidated(t *testing.T) {
+	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
+		_, err := NewCoordinator(CoordinatorOptions{Spec: chaosSpec(), AuditFraction: bad})
+		if err == nil || !strings.Contains(err.Error(), "audit fraction must be in [0,1]") {
+			t.Errorf("AuditFraction %v: err = %v, want the [0,1] range error", bad, err)
 		}
 	}
 }

@@ -181,7 +181,7 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if o.AuditFraction < 0 || o.AuditFraction > 1 {
+	if !(o.AuditFraction >= 0 && o.AuditFraction <= 1) { // negated so NaN fails too
 		return nil, fmt.Errorf("distrib: audit fraction must be in [0,1] (got %g)", o.AuditFraction)
 	}
 	cfg := o.Config

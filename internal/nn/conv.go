@@ -25,21 +25,15 @@ type Conv2D struct {
 	B *tensor.Tensor // length OutC, may be nil
 
 	codec numerics.Codec
-	// wcache holds RoundSlice(W) so repeated forwards (and ComputeNeuron)
-	// skip re-rounding the full weight tensor. atomic: a Network is shared
-	// read-only across campaign shards; the recompute is idempotent.
-	wcache atomic.Pointer[[]float32]
+	// wcache holds RoundSlice(W) and its all-finite bit so repeated forwards
+	// (and ComputeNeuron) skip re-rounding the full weight tensor. atomic: a
+	// Network is shared read-only across campaign shards; the recompute is
+	// idempotent.
+	wcache atomic.Pointer[roundedWeights]
 }
 
-// roundedW returns the cached pre-rounded weight buffer, computing it once.
-func (l *Conv2D) roundedW() []float32 {
-	if p := l.wcache.Load(); p != nil {
-		return *p
-	}
-	rw := l.codec.RoundSlice(l.W.Data())
-	l.wcache.Store(&rw)
-	return rw
-}
+// roundedW returns the cached pre-rounded weights, computing them once.
+func (l *Conv2D) roundedW() *roundedWeights { return loadRounded(&l.wcache, l.codec, l.W) }
 
 // InvalidateWeights drops the rounded-weight cache. Call after mutating W.
 func (l *Conv2D) InvalidateWeights() { l.wcache.Store(nil) }
@@ -125,13 +119,14 @@ func (l *Conv2D) kernelArgs(x, out *tensor.Tensor, rin []float32, rinOff int) *c
 	if l.B != nil {
 		bias = l.B.Data()
 	}
+	rw := l.roundedW()
 	return &convArgs{
-		rin: rin, rw: l.roundedW(), bias: bias, out: out.Data(), rinOff: rinOff,
+		rin: rin, rw: rw.w, bias: bias, out: out.Data(), rinOff: rinOff,
 		n: x.Dim(0), h: x.Dim(1), w: x.Dim(2), inC: l.InC,
 		oh: os[1], ow: os[2], outC: os[3],
 		kh: l.KH, kw: l.KW, stride: l.Stride, pd: l.Pad,
 		depthwise: l.Depthwise, fp16: l.codec.Precision() == numerics.FP16,
-		codec: l.codec,
+		skipZero: rw.finite, codec: l.codec,
 	}
 }
 
@@ -164,7 +159,7 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	// so the result is bit-identical.
 	var rw []float32
 	if w == l.W {
-		rw = l.roundedW()
+		rw = l.roundedW().w
 	}
 	var acc float32
 	for ky := 0; ky < l.KH; ky++ {

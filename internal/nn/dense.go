@@ -22,19 +22,12 @@ type Dense struct {
 	B *tensor.Tensor // (Out), may be nil
 
 	codec numerics.Codec
-	// wcache holds RoundSlice(W); see Conv2D.wcache.
-	wcache atomic.Pointer[[]float32]
+	// wcache holds RoundSlice(W) and its all-finite bit; see Conv2D.wcache.
+	wcache atomic.Pointer[roundedWeights]
 }
 
-// roundedW returns the cached pre-rounded weight buffer, computing it once.
-func (l *Dense) roundedW() []float32 {
-	if p := l.wcache.Load(); p != nil {
-		return *p
-	}
-	rw := l.codec.RoundSlice(l.W.Data())
-	l.wcache.Store(&rw)
-	return rw
-}
+// roundedW returns the cached pre-rounded weights, computing them once.
+func (l *Dense) roundedW() *roundedWeights { return loadRounded(&l.wcache, l.codec, l.W) }
 
 // InvalidateWeights drops the rounded-weight cache. Call after mutating W.
 func (l *Dense) InvalidateWeights() { l.wcache.Store(nil) }
@@ -91,10 +84,11 @@ func (l *Dense) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 			bias = l.B.Data()
 		}
 		denseForward(&denseArgs{
-			rin: rin, rw: rw, bias: bias, out: out.Data(),
+			rin: rin, rw: rw.w, bias: bias, out: out.Data(),
 			batch: batch, in: l.In, outN: l.Out,
-			fp16:  l.codec.Precision() == numerics.FP16,
-			codec: l.codec,
+			fp16:     l.codec.Precision() == numerics.FP16,
+			skipZero: rw.finite,
+			codec:    l.codec,
 		})
 		ctx.fire(l, op)
 		return out
@@ -111,7 +105,7 @@ func (l *Dense) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	// invariant (see Conv2D.ComputeNeuron).
 	var rw []float32
 	if op.W == l.W {
-		rw = l.roundedW()
+		rw = l.roundedW().w
 	}
 	// Flat row-major indexing: the variadic accessors allocate per call and
 	// this is the per-fault hot loop (see Conv2D.ComputeNeuron).

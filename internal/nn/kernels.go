@@ -15,17 +15,37 @@ package nn
 //
 // Bit-exactness contract: for every output neuron the accumulation order over
 // (ky, kx, ic) — or p for matmul, i for dense — is identical to
-// Site.ComputeNeuron, and FP16 products are rounded through numerics.RoundHalf
-// exactly where codec.Mul rounds them. Tiling only changes which outputs are
-// computed, never how one output is computed, so any tile decomposition
-// produces bit-identical results.
+// Site.ComputeNeuron, and FP16 products are rounded exactly where codec.Mul
+// rounds them. Tiling only changes which outputs are computed, never how one
+// output is computed, so any tile decomposition produces bit-identical
+// results. Two things make the inner loops cheaper without changing a bit:
+//
+//   - FP16 MACs run through the fused row kernels numerics.AxpyHalf,
+//     MulAccHalf and DotHalf, which compute `acc += RoundHalf(x*w)` with
+//     RoundHalf's fast path inline instead of one call per MAC.
+//   - The conv and dense axpy loops skip the whole weight row of an
+//     activation that is exactly ±0. Every accumulator starts at +0, and
+//     under round-to-nearest a float32 sum is −0 only when both addends are
+//     −0, so an accumulator is never −0 and `acc + (±0) == acc` bit for bit
+//     (NaN and ±Inf included). With finite weights, 0·w is ±0 and rounds to
+//     ±0 in every codec, so the skipped MACs would have added ±0. A single
+//     ±Inf or NaN weight makes 0·w NaN, so the skip is guarded by an
+//     all-finite bit over the rounded weights, cached with them. MatMul's
+//     operand B changes every pass and has no such cache, so the matmul
+//     kernel does not skip.
+//
+// Site.ComputeNeuron stays the unskipped per-MAC reference: the kernel
+// equivalence tests compare every kernel against it on ReLU-sparse inputs
+// and on layers holding a non-finite weight.
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"fidelity/internal/numerics"
+	"fidelity/internal/tensor"
 )
 
 // tileCount counts kernel tile executions process-wide (one full forward is
@@ -52,18 +72,48 @@ func kernelWorkers() int {
 // kernel fans out to goroutine row bands; below it the spawn overhead wins.
 const parallelMACThreshold = 1 << 17
 
+// roundedWeights is a layer's RoundSlice(W) together with whether every
+// rounded weight is finite, the guard for skipping ±0 activations.
+type roundedWeights struct {
+	w      []float32
+	finite bool
+}
+
+// loadRounded returns the rounded weights cached in c, rounding w through
+// codec and storing the result on first use.
+func loadRounded(c *atomic.Pointer[roundedWeights], codec numerics.Codec, w *tensor.Tensor) *roundedWeights {
+	if p := c.Load(); p != nil {
+		return p
+	}
+	rw := codec.RoundSlice(w.Data())
+	p := &roundedWeights{w: rw, finite: allFinite(rw)}
+	c.Store(p)
+	return p
+}
+
+// allFinite reports whether no element of s is ±Inf or NaN.
+func allFinite(s []float32) bool {
+	for _, v := range s {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			return false
+		}
+	}
+	return true
+}
+
 // convArgs bundles the resolved geometry and pre-rounded operand buffers of
 // one Conv2D forward pass. rinOff is subtracted from every flattened input
 // index, letting rin be a row window rather than the full tensor (the region
-// sweep rounds only the rows a tile reads).
+// sweep rounds only the rows a tile reads). skipZero is set when every rounded
+// weight is finite (see the bit-exactness contract above).
 type convArgs struct {
-	rin, rw, bias, out []float32
-	rinOff             int
-	n, h, w, inC       int
-	oh, ow, outC       int
-	kh, kw, stride, pd int
-	depthwise, fp16    bool
-	codec              numerics.Codec
+	rin, rw, bias, out        []float32
+	rinOff                    int
+	n, h, w, inC              int
+	oh, ow, outC              int
+	kh, kw, stride, pd        int
+	depthwise, fp16, skipZero bool
+	codec                     numerics.Codec
 }
 
 // convTile computes output rows [oy0,oy1) × columns [ox0,ox1) of batch bi,
@@ -114,15 +164,13 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 						// Pin irow/ac to wrow's length so the inner loop is
 						// bounds-check free (outC == inC for depthwise).
 						irow := rin[inBase : inBase+inC][:len(wrow)]
-						ac := accs[:len(wrow)]
 						if a.fp16 {
-							for c, wv := range wrow {
-								ac[c] += numerics.RoundHalf(irow[c] * wv)
-							}
-						} else {
-							for c, wv := range wrow {
-								ac[c] += irow[c] * wv
-							}
+							numerics.MulAccHalf(accs, irow, wrow)
+							continue
+						}
+						ac := accs[:len(wrow)]
+						for c, wv := range wrow {
+							ac[c] += irow[c] * wv
 						}
 					}
 					continue
@@ -132,21 +180,18 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 					inBase := rowBase + ix*inC
 					irow := rin[inBase : inBase+inC]
 					wBase := (ky*kw + kx) * inC * outC
-					if a.fp16 {
-						for ic, av := range irow {
-							wo := wBase + ic*outC
-							wrow := rw[wo : wo+outC]
-							for c, wv := range wrow {
-								accs[c] += numerics.RoundHalf(av * wv)
-							}
+					for ic, av := range irow {
+						if av == 0 && a.skipZero {
+							continue
 						}
-					} else {
-						for ic, av := range irow {
-							wo := wBase + ic*outC
-							wrow := rw[wo : wo+outC]
-							for c, wv := range wrow {
-								accs[c] += av * wv
-							}
+						wo := wBase + ic*outC
+						wrow := rw[wo : wo+outC]
+						if a.fp16 {
+							numerics.AxpyHalf(accs, av, wrow)
+							continue
+						}
+						for c, wv := range wrow {
+							accs[c] += av * wv
 						}
 					}
 				}
@@ -213,7 +258,7 @@ func convForward(a *convArgs) {
 type denseArgs struct {
 	rin, rw, bias, out []float32
 	batch, in, outN    int
-	fp16               bool
+	fp16, skipZero     bool
 	codec              numerics.Codec
 }
 
@@ -227,19 +272,17 @@ func denseTile(a *denseArgs, b0, b1, o0, o1 int) {
 	for b := b0; b < b1; b++ {
 		orow := out[b*outN+o0 : b*outN+o1]
 		irow := rin[b*in : (b+1)*in]
-		if a.fp16 {
-			for i, av := range irow {
-				wrow := rw[i*outN+o0 : i*outN+o1][:len(orow)]
-				for o, wv := range wrow {
-					orow[o] += numerics.RoundHalf(av * wv)
-				}
+		for i, av := range irow {
+			if av == 0 && a.skipZero {
+				continue
 			}
-		} else {
-			for i, av := range irow {
-				wrow := rw[i*outN+o0 : i*outN+o1][:len(orow)]
-				for o, wv := range wrow {
-					orow[o] += av * wv
-				}
+			wrow := rw[i*outN+o0 : i*outN+o1][:len(orow)]
+			if a.fp16 {
+				numerics.AxpyHalf(orow, av, wrow)
+				continue
+			}
+			for o, wv := range wrow {
+				orow[o] += av * wv
 			}
 		}
 		if a.bias != nil {
@@ -311,32 +354,25 @@ func matmulTile(a *matmulArgs, i0, i1, j0, j1 int) {
 		if a.transposeB {
 			for j := range orow {
 				brow := rb[(j0+j)*k : (j0+j+1)*k][:len(arow)]
-				acc := orow[j]
 				if a.fp16 {
-					for p, av := range arow {
-						acc += numerics.RoundHalf(av * brow[p])
-					}
-				} else {
-					for p, av := range arow {
-						acc += av * brow[p]
-					}
+					orow[j] = numerics.DotHalf(orow[j], arow, brow)
+					continue
+				}
+				acc := orow[j]
+				for p, av := range arow {
+					acc += av * brow[p]
 				}
 				orow[j] = acc
 			}
 		} else {
-			if a.fp16 {
-				for p, av := range arow {
-					brow := rb[p*n+j0 : p*n+j1][:len(orow)]
-					for j, wv := range brow {
-						orow[j] += numerics.RoundHalf(av * wv)
-					}
+			for p, av := range arow {
+				brow := rb[p*n+j0 : p*n+j1][:len(orow)]
+				if a.fp16 {
+					numerics.AxpyHalf(orow, av, brow)
+					continue
 				}
-			} else {
-				for p, av := range arow {
-					brow := rb[p*n+j0 : p*n+j1][:len(orow)]
-					for j, wv := range brow {
-						orow[j] += av * wv
-					}
+				for j, wv := range brow {
+					orow[j] += av * wv
 				}
 			}
 		}

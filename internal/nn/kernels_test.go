@@ -65,9 +65,52 @@ func runKernelModes(t *testing.T, label string, want *tensor.Tensor, f func() *t
 	}
 }
 
+// kernelCase is one input/weight variant a kernel test runs per geometry and
+// codec. The ReLU-sparse variants reach the zero-skip path; the non-finite
+// weight variants must turn it off, since 0·Inf and 0·NaN are NaN.
+type kernelCase struct {
+	name   string
+	sparse bool    // about half the inputs +0, some of them −0
+	weight float32 // written over one weight when non-zero
+}
+
+func kernelCases() []kernelCase {
+	return []kernelCase{
+		{"normal", false, 0},
+		{"relu-sparse", true, 0},
+		{"relu-sparse-inf-weight", true, float32(math.Inf(1))},
+		{"relu-sparse-nan-weight", true, float32(math.NaN())},
+	}
+}
+
+// apply makes x ReLU-sparse when the case asks for it: negative draws become
+// +0, and every eighth of them −0.
+func (kc kernelCase) apply(x *tensor.Tensor) {
+	if !kc.sparse {
+		return
+	}
+	negZero := float32(math.Copysign(0, -1))
+	for i, v := range x.Data() {
+		if v < 0 {
+			x.Data()[i] = 0
+			if i%8 == 0 {
+				x.Data()[i] = negZero
+			}
+		}
+	}
+}
+
+// poison writes the case's non-finite weight over the middle element of w.
+func (kc kernelCase) poison(w *tensor.Tensor) {
+	if kc.weight != 0 {
+		w.Data()[w.Size()/2] = kc.weight
+	}
+}
+
 // TestConvKernelEquivalence sweeps convolution geometries — padded, strided,
 // 1×1, depthwise, and one large enough to clear parallelMACThreshold so the
-// forced goroutine bands actually engage — across every codec.
+// forced goroutine bands actually engage — across every codec and every
+// kernelCase.
 func TestConvKernelEquivalence(t *testing.T) {
 	geoms := []struct {
 		name                         string
@@ -84,27 +127,31 @@ func TestConvKernelEquivalence(t *testing.T) {
 	}
 	for _, g := range geoms {
 		for _, codec := range kernelCodecs() {
-			label := fmt.Sprintf("conv/%s/%s", g.name, codec.Precision())
-			rng := rand.New(rand.NewSource(21))
-			var l *Conv2D
-			if g.depthwise {
-				l = NewDepthwiseConv2D("c", g.kh, g.kw, g.inC, g.stride, g.p, codec)
-				l.W.RandNormal(rng, 1)
-				l.B.RandNormal(rng, 0.25)
+			for _, kc := range kernelCases() {
+				label := fmt.Sprintf("conv/%s/%s/%s", g.name, codec.Precision(), kc.name)
+				rng := rand.New(rand.NewSource(21))
+				var l *Conv2D
+				if g.depthwise {
+					l = NewDepthwiseConv2D("c", g.kh, g.kw, g.inC, g.stride, g.p, codec)
+					l.W.RandNormal(rng, 1)
+					l.B.RandNormal(rng, 0.25)
+				} else {
+					l = NewConv2D("c", g.kh, g.kw, g.inC, g.outC, g.stride, g.p, codec).InitRandom(rng, 1)
+				}
+				kc.poison(l.W)
 				l.InvalidateWeights()
-			} else {
-				l = NewConv2D("c", g.kh, g.kw, g.inC, g.outC, g.stride, g.p, codec).InitRandom(rng, 1)
+				x := tensor.New(2, g.h, g.w, g.inC)
+				x.RandNormal(rng, 1)
+				kc.apply(x)
+				want := neuronwise(l, &Operands{In: x, W: l.W.Clone(), B: l.B}, l.OutputShape(x.Shape()))
+				runKernelModes(t, label, want, func() *tensor.Tensor { return l.Forward(x, nil) })
 			}
-			x := tensor.New(2, g.h, g.w, g.inC)
-			x.RandNormal(rng, 1)
-			want := neuronwise(l, &Operands{In: x, W: l.W.Clone(), B: l.B}, l.OutputShape(x.Shape()))
-			runKernelModes(t, label, want, func() *tensor.Tensor { return l.Forward(x, nil) })
 		}
 	}
 }
 
 // TestDenseKernelEquivalence covers small and band-splitting dense layers
-// across every codec, including a no-bias variant.
+// across every codec and kernelCase, including a no-bias variant.
 func TestDenseKernelEquivalence(t *testing.T) {
 	geoms := []struct {
 		name    string
@@ -118,22 +165,28 @@ func TestDenseKernelEquivalence(t *testing.T) {
 	}
 	for _, g := range geoms {
 		for _, codec := range kernelCodecs() {
-			label := fmt.Sprintf("dense/%s/%s", g.name, codec.Precision())
-			rng := rand.New(rand.NewSource(22))
-			l := NewDense("d", g.in, g.out, codec).InitRandom(rng, 1)
-			if !g.bias {
-				l.B = nil
+			for _, kc := range kernelCases() {
+				label := fmt.Sprintf("dense/%s/%s/%s", g.name, codec.Precision(), kc.name)
+				rng := rand.New(rand.NewSource(22))
+				l := NewDense("d", g.in, g.out, codec).InitRandom(rng, 1)
+				if !g.bias {
+					l.B = nil
+				}
+				kc.poison(l.W)
+				l.InvalidateWeights()
+				x := tensor.New(g.batch, g.in)
+				x.RandNormal(rng, 1)
+				kc.apply(x)
+				want := neuronwise(l, &Operands{In: x, W: l.W.Clone(), B: l.B}, []int{g.batch, g.out})
+				runKernelModes(t, label, want, func() *tensor.Tensor { return l.Forward(x, nil) })
 			}
-			x := tensor.New(g.batch, g.in)
-			x.RandNormal(rng, 1)
-			want := neuronwise(l, &Operands{In: x, W: l.W.Clone(), B: l.B}, []int{g.batch, g.out})
-			runKernelModes(t, label, want, func() *tensor.Tensor { return l.Forward(x, nil) })
 		}
 	}
 }
 
 // TestMatMulKernelEquivalence covers plain and transposed-B matmuls with and
-// without output scaling, including a product large enough to band.
+// without output scaling, including a product large enough to band, across
+// every codec and kernelCase (the non-finite value lands in operand B).
 func TestMatMulKernelEquivalence(t *testing.T) {
 	geoms := []struct {
 		name       string
@@ -148,19 +201,23 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 	}
 	for _, g := range geoms {
 		for _, codec := range kernelCodecs() {
-			label := fmt.Sprintf("matmul/%s/%s", g.name, codec.Precision())
-			rng := rand.New(rand.NewSource(23))
-			site := NewMatMulSite("mm", g.transposeB, g.scale, codec)
-			a := tensor.New(g.m, g.k)
-			a.RandNormal(rng, 1)
-			bd0, bd1 := g.k, g.n
-			if g.transposeB {
-				bd0, bd1 = g.n, g.k
+			for _, kc := range kernelCases() {
+				label := fmt.Sprintf("matmul/%s/%s/%s", g.name, codec.Precision(), kc.name)
+				rng := rand.New(rand.NewSource(23))
+				site := NewMatMulSite("mm", g.transposeB, g.scale, codec)
+				a := tensor.New(g.m, g.k)
+				a.RandNormal(rng, 1)
+				kc.apply(a)
+				bd0, bd1 := g.k, g.n
+				if g.transposeB {
+					bd0, bd1 = g.n, g.k
+				}
+				b := tensor.New(bd0, bd1)
+				b.RandNormal(rng, 1)
+				kc.poison(b)
+				want := neuronwise(site, &Operands{In: a, W: b}, []int{g.m, g.n})
+				runKernelModes(t, label, want, func() *tensor.Tensor { return site.Run(a, b, nil) })
 			}
-			b := tensor.New(bd0, bd1)
-			b.RandNormal(rng, 1)
-			want := neuronwise(site, &Operands{In: a, W: b}, []int{g.m, g.n})
-			runKernelModes(t, label, want, func() *tensor.Tensor { return site.Run(a, b, nil) })
 		}
 	}
 }

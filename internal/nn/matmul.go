@@ -63,7 +63,8 @@ func (l *MatMulSite) Run(a, b *tensor.Tensor, ctx *Context) *tensor.Tensor {
 
 		// Fast path (bit-identical to per-neuron ComputeNeuron; see
 		// Conv2D.Forward). No rounded-weight cache here: operand B is an
-		// activation that changes every pass.
+		// activation that changes every pass, so there is no cached
+		// all-finite bit either and the matmul kernel never skips zeros.
 		ra := l.codec.RoundSlice(a.Data())
 		rb := l.codec.RoundSlice(b.Data())
 		matmulForward(&matmulArgs{

@@ -132,14 +132,24 @@ func (c Codec) MulPre(a, b float32) float32 {
 // codec's storage rounding.
 func (c Codec) RoundSlice(data []float32) []float32 {
 	out := make([]float32, len(data))
-	if c.prec == FP32 {
-		copy(out, data)
-		return out
-	}
-	for i, v := range data {
-		out[i] = c.Round(v)
-	}
+	c.RoundInto(out, data)
 	return out
+}
+
+// RoundInto sets dst[i] = Round(src[i]) for every element of src; dst must be
+// at least as long as src. FP16 rounds with RoundHalf's fast path inline.
+func (c Codec) RoundInto(dst, src []float32) {
+	switch c.prec {
+	case FP32:
+		copy(dst, src)
+	case FP16:
+		roundHalfInto(dst, src)
+	default:
+		dst = dst[:len(src)]
+		for i, v := range src {
+			dst[i] = c.quant.Round(v)
+		}
+	}
 }
 
 // Saturate clamps f to the representable range of the codec, modeling the

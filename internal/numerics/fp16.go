@@ -141,17 +141,22 @@ func (h Half) FlipBit(i int) Half {
 // RoundHalf rounds f through the Half encoding and back, modeling a value
 // passing through an FP16 register or functional-unit output.
 //
-// This is the single hottest function of the injection datapath (one call per
-// MAC on FP16 networks), so the common case — a float32 whose exponent lands
-// in the normal half range — is handled with pure integer arithmetic on the
-// float32 bit pattern instead of a full encode/decode round trip: adding
-// 0x0fff plus the round bit performs round-to-nearest-even on the 13 mantissa
-// bits a half discards, with mantissa overflow carrying into the exponent
-// field for free. Exact zeros get their own branch: post-ReLU tensors are
-// about half zeros, and ±0 round-trips to itself. Values outside both cases
-// (subnormals, overflow, Inf/NaN) take the exact reference path.
+// The common case — a float32 whose exponent lands in the normal half range —
+// is handled with pure integer arithmetic on the float32 bit pattern instead
+// of a full encode/decode round trip: adding 0x0fff plus the round bit
+// performs round-to-nearest-even on the 13 mantissa bits a half discards,
+// with mantissa overflow carrying into the exponent field for free. Exact
+// zeros get their own branch, since ±0 round-trips to itself. Values outside
+// both cases (subnormals, overflow, Inf/NaN) take the exact reference path.
 // RoundHalfRef proves the paths agree bit-for-bit; TestRoundHalfFastPath
 // sweeps the boundary cases.
+//
+// RoundHalf is too large to inline, so the per-MAC loops of the FP16 kernels
+// do not call it: the row kernels in mulacc.go (AxpyHalf, MulAccHalf,
+// DotHalf) and Codec.RoundInto expand the same normal-range fast path inline
+// and call RoundHalf only for the rare products outside it; FuzzMulAccHalf
+// checks them against RoundHalfRef. The per-neuron Site.ComputeNeuron path
+// still calls RoundHalf once per MAC.
 func RoundHalf(f float32) float32 {
 	b := math.Float32bits(f)
 	if e := b >> 23 & 0xff; e-113 < 30 { // exponent in [-14, 15]: normal half

@@ -237,17 +237,21 @@ func TestParsePrecision(t *testing.T) {
 }
 
 // TestRoundHalfFastPath proves the integer fast path of RoundHalf bit-exact
-// against the reference encode/decode round trip. The sweep covers every half
-// encoding, every float32 exponent with the mantissa patterns that straddle
-// the round-to-nearest-even boundaries, and a large random sample.
+// against the reference encode/decode round trip over roundingSweep.
 func TestRoundHalfFastPath(t *testing.T) {
-	check := func(f float32) {
+	roundingSweep(func(f float32) {
 		got, want := RoundHalf(f), RoundHalfRef(f)
 		if math.Float32bits(got) != math.Float32bits(want) {
 			t.Fatalf("RoundHalf(%v [%#08x]) = %v [%#08x], want %v [%#08x]",
 				f, math.Float32bits(f), got, math.Float32bits(got), want, math.Float32bits(want))
 		}
-	}
+	})
+}
+
+// roundingSweep calls check on every half encoding, every float32 exponent
+// with the mantissa patterns that straddle the round-to-nearest-even
+// boundaries, the overflow boundary, and a large random sample.
+func roundingSweep(check func(f float32)) {
 	// Every exact half value, both signs.
 	for h := 0; h <= 0xffff; h++ {
 		check(Half(h).Float32())
