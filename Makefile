@@ -42,13 +42,16 @@ chaos:
 chaos-distrib:
 	$(GO) test -race -timeout 30m -count=2 -run 'TestChaos|TestDistribAudit|TestDistribDrain|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
 
-# Fuzz the fused FP16 row kernels (numerics.AxpyHalf, MulAccHalf, DotHalf)
-# and Codec.RoundInto against the reference rounding RoundHalfRef for a short
-# budget. The committed seed corpus in internal/numerics/testdata/fuzz runs
-# in every `go test` as well.
+# Fuzz for a short budget each: the fused FP16 row kernels
+# (numerics.AxpyHalf, MulAccHalf, DotHalf) and Codec.RoundInto against the
+# reference rounding RoundHalfRef, and campaign.StudyOptions.Validate against
+# the checkpoint and CampaignSpec identity it guards. Go fuzzes one target
+# per invocation. The committed seed corpora under each package's
+# testdata/fuzz run in every `go test` as well.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMulAccHalf$$' -fuzztime $(FUZZTIME) ./internal/numerics
+	$(GO) test -run '^$$' -fuzz '^FuzzStudyOptionsIdentity$$' -fuzztime $(FUZZTIME) ./internal/campaign
 
 # One iteration of every benchmark — smoke, not measurement.
 bench:

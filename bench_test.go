@@ -30,7 +30,6 @@ import (
 	"fidelity/internal/activeness"
 	"fidelity/internal/baseline"
 	"fidelity/internal/campaign"
-	"fidelity/internal/core"
 	"fidelity/internal/dataset"
 	"fidelity/internal/faultmodel"
 	"fidelity/internal/fit"
@@ -53,7 +52,7 @@ func once(b *testing.B, key, s string) {
 
 func BenchmarkTableII(b *testing.B) {
 	cfg := accel.NVDLASmall()
-	fw, err := core.New(cfg)
+	fw, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func BenchmarkValidation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	once(b, "validation", core.ValidationTable(rep).String())
+	once(b, "validation", ValidationTable(rep).String())
 	if rep.DatapathExact != rep.DatapathChecked {
 		b.Fatalf("validation mismatches: %v", rep.Mismatches)
 	}
@@ -126,7 +125,7 @@ func benchStudy(b *testing.B, key, title string, cells []struct {
 	tol  float64
 }, protected bool) {
 	cfg := accel.NVDLASmall()
-	fw, err := core.New(cfg)
+	fw, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func benchStudy(b *testing.B, key, title string, cells []struct {
 		}
 		results = append(results, r)
 	}
-	once(b, key, core.FITChart(title, results, protected).String())
+	once(b, key, FITChart(title, results, protected).String())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fw.Analyze(context.Background(), cells[0].net, cells[0].prec, campaign.StudyOptions{
@@ -188,7 +187,7 @@ func BenchmarkFig6(b *testing.B) {
 
 func BenchmarkKeyResult5(b *testing.B) {
 	cfg := accel.NVDLASmall()
-	fw, err := core.New(cfg)
+	fw, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func BenchmarkSpeedup(b *testing.B) {
 
 func BenchmarkBaseline(b *testing.B) {
 	cfg := accel.NVDLASmall()
-	w, err := model.Build("resnet", numerics.FP16, 42)
+	w, err := model.Build("resnet", numerics.FP16, model.WeightSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func BenchmarkBaseline(b *testing.B) {
 // software fault injection end to end.
 func BenchmarkInjection(b *testing.B) {
 	cfg := accel.NVDLASmall()
-	w, err := model.Build("resnet", numerics.FP16, 42)
+	w, err := model.Build("resnet", numerics.FP16, model.WeightSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,7 +305,7 @@ func BenchmarkInjection(b *testing.B) {
 func benchInjector(b *testing.B, net string, withReplay bool) *inject.Injector {
 	b.Helper()
 	cfg := accel.NVDLASmall()
-	w, err := model.Build(net, numerics.FP16, 42)
+	w, err := model.Build(net, numerics.FP16, model.WeightSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -406,7 +405,7 @@ func BenchmarkAdaptive(b *testing.B) {
 		{"fixed", campaign.StudyOptions{Samples: campaign.SamplesFor(target), Inputs: 1, Tolerance: 0.1, Seed: 1}},
 	}
 	for _, net := range []string{"inception", "resnet", "mobilenet"} {
-		w, err := model.Build(net, numerics.INT8, 42)
+		w, err := model.Build(net, numerics.INT8, model.WeightSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -441,7 +440,7 @@ func BenchmarkHarden(b *testing.B) {
 	cfg := accel.NVDLASmall()
 	opts := campaign.StudyOptions{Samples: 12, Inputs: 1, Tolerance: 0.1, Seed: 1, PerLayer: true}
 	for _, net := range []string{"inception", "resnet", "mobilenet"} {
-		plain, err := model.Build(net, numerics.FP16, 42)
+		plain, err := model.Build(net, numerics.FP16, model.WeightSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -453,7 +452,7 @@ func BenchmarkHarden(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hw, err := model.Build(net, numerics.FP16, 42)
+		hw, err := model.Build(net, numerics.FP16, model.WeightSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

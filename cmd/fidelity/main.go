@@ -1,6 +1,8 @@
 // Command fidelity prints the FIdelity framework's derived artifacts for an
 // accelerator design: the Reuse Factor Analysis summary (Table I), the
-// software fault models (Table II), and the Fig 2 worked examples.
+// software fault models (Table II), and the Fig 2 worked examples. It also
+// runs the paper's Sec. IV validation against the cycle-level golden
+// reference, the FIT sensitivity analysis, and the closed hardening loop.
 //
 // Usage:
 //
@@ -8,6 +10,12 @@
 //	fidelity table2 [-csv]
 //	fidelity fig2 [-k 4] [-t 16]
 //	fidelity census
+//	fidelity validate [-samples 1000] [-seed 1] [-v]
+//	fidelity sensitivity [-net yolo] [-samples 200 | -target-ci W] ...
+//	fidelity harden [-net mobilenet] [-samples 20] [-inputs 2] ...
+//
+// Exit codes: 0 success, 1 error (or a validation mismatch), 2 usage, 3
+// partial result (a shard exhausted its failure budget).
 //
 // The injection campaign behind `sensitivity` runs in-process; cmd/study
 // runs the full study figures, and cmd/fidelityd distributes the same
@@ -25,9 +33,9 @@ import (
 	"runtime"
 	"syscall"
 
+	"fidelity"
 	"fidelity/internal/accel"
 	"fidelity/internal/campaign"
-	"fidelity/internal/core"
 	hardenpkg "fidelity/internal/harden"
 	"fidelity/internal/numerics"
 	"fidelity/internal/report"
@@ -54,6 +62,8 @@ func main() {
 		err = fig2(args)
 	case "census":
 		err = census()
+	case "validate":
+		err = validate(args)
 	case "sensitivity":
 		err = sensitivity(ctx, args)
 	case "harden":
@@ -77,18 +87,27 @@ func main() {
 var errPartial = errors.New("partial result (a shard exhausted its failure budget)")
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fidelity <table1|table2|fig2|census|sensitivity|harden> [flags]
+	fmt.Fprintln(os.Stderr, `usage: fidelity <table1|table2|fig2|census|validate|sensitivity|harden> [flags]
 
   table1       print the Reuse Factor Analysis summary (paper Table I)
   table2       print the derived NVDLA software fault models (paper Table II)
   fig2         run the Fig 2 reuse-factor examples (NVDLA-like and Eyeriss-like)
   census       print the FF census of the NVDLA-small configuration
+  validate     Sec. IV validation: software fault models vs the cycle-level golden
   sensitivity  FIT bounds under perturbed FF-count/activeness estimates
   harden       closed hardening loop: campaign -> rank -> mitigate -> re-measure`)
 }
 
-func framework() (*core.Framework, error) {
-	return core.New(accel.NVDLASmall())
+// usageError prints a rejected flag value and the subcommand's flags, then
+// exits 2, the same code as an unknown subcommand.
+func usageError(fs *flag.FlagSet, err error) {
+	fmt.Fprintln(os.Stderr, "fidelity:", err)
+	fs.Usage()
+	os.Exit(2)
+}
+
+func framework() (*fidelity.Framework, error) {
+	return fidelity.New(accel.NVDLASmall())
 }
 
 func table1() error {
@@ -174,42 +193,26 @@ func sensitivity(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *targetCI != 0 {
-		samplesSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "samples" {
-				samplesSet = true
-			}
-		})
-		if samplesSet {
-			fmt.Fprintln(os.Stderr, "fidelity: -samples and -target-ci are mutually exclusive")
-			fs.Usage()
-			os.Exit(2)
-		}
-		if !(*targetCI > 0 && *targetCI <= 0.5) { // negated so NaN fails too
-			fmt.Fprintf(os.Stderr, "fidelity: -target-ci must be in (0, 0.5] (got %g)\n", *targetCI)
-			fs.Usage()
-			os.Exit(2)
-		}
-		*samples = 0
-	} else if *samples <= 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -samples must be positive (got %d)\n", *samples)
-		fs.Usage()
-		os.Exit(2)
-	}
-	cfg := accel.NVDLASmall()
-	fw, err := core.New(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := fw.Analyze(ctx, *net, numerics.FP16, campaign.StudyOptions{
-		Samples: *samples, TargetCI: *targetCI, Inputs: 2, Tolerance: 0.1, Seed: 1, Workers: runtime.NumCPU(),
+	n, err := campaign.SamplesFlag(fs, *samples, *targetCI)
+	opts := campaign.StudyOptions{
+		Samples: n, TargetCI: *targetCI, Inputs: 2, Tolerance: 0.1, Seed: 1, Workers: runtime.NumCPU(),
 		ExperimentTimeout: *expTimeout, FailureBudget: *failBudget,
-	})
+	}
+	if err == nil {
+		err = opts.Validate()
+	}
+	if err != nil {
+		usageError(fs, err)
+	}
+	fw, err := framework()
 	if err != nil {
 		return err
 	}
-	lo, hi, err := campaign.SensitivityBounds(ctx, cfg, res, *ffDelta, *actDelta)
+	res, err := fw.Analyze(ctx, *net, numerics.FP16, opts)
+	if err != nil {
+		return err
+	}
+	lo, hi, err := campaign.SensitivityBounds(ctx, fw.Config, res, *ffDelta, *actDelta)
 	if err != nil {
 		return err
 	}
@@ -242,29 +245,17 @@ func harden(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *samples <= 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -samples must be positive (got %d)\n", *samples)
-		fs.Usage()
-		os.Exit(2)
-	}
-	if *inputs <= 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -inputs must be positive (got %d)\n", *inputs)
-		fs.Usage()
-		os.Exit(2)
+	study := campaign.StudyOptions{Samples: *samples, Inputs: *inputs, Tolerance: 0.1, Seed: *seed, Workers: *workers}
+	if err := study.Validate(); err != nil {
+		usageError(fs, err)
 	}
 	if *budget < 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -budget must be non-negative (got %g)\n", *budget)
-		fs.Usage()
-		os.Exit(2)
+		usageError(fs, fmt.Errorf("-budget must be non-negative (got %g)", *budget))
 	}
 	rep, err := hardenpkg.Run(ctx, accel.NVDLASmall(), hardenpkg.Options{
 		Net:       *net,
 		Precision: numerics.FP16,
-		Samples:   *samples,
-		Inputs:    *inputs,
-		Tolerance: 0.1,
-		Seed:      *seed,
-		Workers:   *workers,
+		Study:     study,
 		Budget:    *budget,
 	})
 	if err != nil {
@@ -287,6 +278,52 @@ func harden(ctx context.Context, args []string) error {
 	fmt.Fprintf(os.Stderr, "fidelity: %s FIT %.3f -> %.3f hardened (budget %.3f, meets=%v, dup time share %.1f%%)\n",
 		*net, rep.Before.FIT, rep.HardenedFIT, rep.BudgetFIT, rep.MeetsASILD, rep.DupTimeShare*100)
 	return err
+}
+
+// validate runs the paper's Sec. IV validation campaign: RTL-style fault
+// injections in the cycle-level golden reference (package rtlsim) against
+// the Table III workloads, with every non-masked case checked against the
+// software fault models. The paper's campaign is 60K injections (10K per
+// workload); -samples sets the per-workload count.
+func validate(args []string) error {
+	fs := flag.NewFlagSet("validate", flag.ExitOnError)
+	samples := fs.Int("samples", 1000, "RTL fault injections per Table III workload")
+	seed := fs.Int64("seed", 1, "sampling seed")
+	verbose := fs.Bool("v", false, "print each mismatch (if any)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *samples <= 0 {
+		usageError(fs, fmt.Errorf("-samples must be positive (got %d)", *samples))
+	}
+	fw, err := framework()
+	if err != nil {
+		return err
+	}
+	// The banner names the workload count before the campaign starts;
+	// building the set is negligible next to the campaign it precedes.
+	ws, err := campaign.TableIIIWorkloads()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("validating %d workloads × %d injections on %s...\n", len(ws), *samples, fw.Config.Name)
+	rep, err := fw.Validate(*samples, *seed)
+	if err != nil {
+		return err
+	}
+	fmt.Print(fidelity.ValidationTable(rep).String())
+	if *verbose {
+		for _, m := range rep.Mismatches {
+			fmt.Println("MISMATCH:", m)
+		}
+	}
+	if len(rep.Mismatches) > 0 {
+		fmt.Printf("\nFAIL: %d software-model mismatches\n", len(rep.Mismatches))
+		return fmt.Errorf("validation failed: %d software-model mismatches", len(rep.Mismatches))
+	}
+	fmt.Println("\nPASS: all checked cases match the software fault models" +
+		" (datapath exact; RF=1 sets exact; global-control mostly non-masked)")
+	return nil
 }
 
 func verdict(lo float64) string {

@@ -62,3 +62,20 @@ func TestTable1Runs(t *testing.T) {
 		t.Fatalf("table1: exit %d, output:\n%s", code, out)
 	}
 }
+
+func TestValidateRuns(t *testing.T) {
+	out, code := runCLI(t, "validate", "-samples", "20")
+	if code != 0 || !strings.Contains(out, "RTL fault injections") || !strings.Contains(out, "PASS") {
+		t.Fatalf("validate -samples 20: exit %d, output:\n%s", code, out)
+	}
+}
+
+// Zero injections check nothing, so they must not report PASS.
+func TestValidateSamplesValidated(t *testing.T) {
+	for _, bad := range []string{"0", "-5"} {
+		out, code := runCLI(t, "validate", "-samples", bad)
+		if code != 2 || !strings.Contains(out, "-samples must be positive") || strings.Contains(out, "PASS") {
+			t.Errorf("validate -samples %s: exit %d, output:\n%s", bad, code, out)
+		}
+	}
+}

@@ -39,6 +39,7 @@ import (
 
 	"fidelity/internal/campaign"
 	"fidelity/internal/distrib"
+	"fidelity/internal/model"
 	"fidelity/internal/telemetry"
 )
 
@@ -117,28 +118,26 @@ func serve(ctx context.Context, args []string) error {
 	progress := fs.Duration("progress", 0, "emit merged JSONL telemetry snapshots to stderr at this interval (0 = off)")
 	manifest := fs.String("manifest", "", "write a machine-readable run manifest to this file (empty disables)")
 	fs.Parse(args)
-	if *targetCI != 0 {
-		samplesSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "samples" {
-				samplesSet = true
-			}
-		})
-		if samplesSet {
-			usageError(fs, "-samples and -target-ci are mutually exclusive (the adaptive planner sizes each stratum itself)")
-		}
-		if !(*targetCI > 0 && *targetCI <= 0.5) { // negated so NaN fails too
-			usageError(fs, "-target-ci must be in (0, 0.5] (got %g)", *targetCI)
-		}
-		*samples = 0
-	} else if *samples <= 0 {
-		usageError(fs, "-samples must be positive (got %d)", *samples)
+	n, err := campaign.SamplesFlag(fs, *samples, *targetCI)
+	spec := distrib.CampaignSpec{
+		Workload:          *netName,
+		Precision:         *precision,
+		WorkloadSeed:      model.WeightSeed,
+		Tolerance:         *tolerance,
+		Samples:           n,
+		TargetCI:          *targetCI,
+		Inputs:            *inputs,
+		Seed:              *seed,
+		Shards:            *shards,
+		PerLayer:          *perLayer,
+		ExperimentTimeout: *expTimeout,
+		FailureBudget:     *failBudget,
 	}
-	if *inputs <= 0 {
-		usageError(fs, "-inputs must be positive (got %d)", *inputs)
+	if err == nil {
+		err = spec.Options().Validate()
 	}
-	if *shards < 0 {
-		usageError(fs, "-shards must be non-negative (got %d)", *shards)
+	if err != nil {
+		usageError(fs, "%v", err)
 	}
 	if *leaseTTL <= 0 {
 		usageError(fs, "-lease-ttl must be positive (got %v)", *leaseTTL)
@@ -152,20 +151,6 @@ func serve(ctx context.Context, args []string) error {
 
 	tel := telemetry.New()
 	tel.SetSource("coordinator")
-	spec := distrib.CampaignSpec{
-		Workload:          *netName,
-		Precision:         *precision,
-		WorkloadSeed:      42,
-		Tolerance:         *tolerance,
-		Samples:           *samples,
-		TargetCI:          *targetCI,
-		Inputs:            *inputs,
-		Seed:              *seed,
-		Shards:            *shards,
-		PerLayer:          *perLayer,
-		ExperimentTimeout: *expTimeout,
-		FailureBudget:     *failBudget,
-	}
 	c, err := distrib.NewCoordinator(distrib.CoordinatorOptions{
 		Spec:          spec,
 		LeaseTTL:      *leaseTTL,

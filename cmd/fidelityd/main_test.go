@@ -51,6 +51,18 @@ func TestServeTargetCIRangeValidated(t *testing.T) {
 	}
 }
 
+// A non-finite tolerance cannot be encoded into the campaign's status or
+// state, so serve must refuse it up front instead of starting a campaign no
+// worker can lease from.
+func TestServeToleranceValidated(t *testing.T) {
+	for _, bad := range []string{"NaN", "Inf", "-0.1"} {
+		out, code := runCLI(t, "serve", "-addr", "127.0.0.1:0", "-tolerance", bad)
+		if code != 2 || !strings.Contains(out, "-tolerance must be finite and non-negative") {
+			t.Errorf("serve -tolerance %s: exit %d, output:\n%s", bad, code, out)
+		}
+	}
+}
+
 func TestServeLeaseTTLStillValidated(t *testing.T) {
 	out, code := runCLI(t, "serve", "-lease-ttl", "-1s")
 	if code != 2 || !strings.Contains(out, "-lease-ttl must be positive") {

@@ -44,10 +44,10 @@ import (
 	"syscall"
 	"time"
 
+	"fidelity"
 	"fidelity/internal/accel"
 	"fidelity/internal/baseline"
 	"fidelity/internal/campaign"
-	"fidelity/internal/core"
 	"fidelity/internal/fit"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
@@ -80,28 +80,22 @@ func main() {
 	ioRetries := flag.Int("io-retries", 0, "retries for transient checkpoint/manifest write failures (0 = default)")
 	ioBackoff := flag.Duration("io-backoff", 0, "initial backoff between I/O retries, doubling per attempt (0 = default)")
 	flag.Parse()
-	if *targetCI != 0 {
-		samplesSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "samples" {
-				samplesSet = true
-			}
-		})
-		if samplesSet {
-			usageError("-samples and -target-ci are mutually exclusive (the adaptive planner sizes each stratum itself)")
-		}
-		if !(*targetCI > 0 && *targetCI <= 0.5) { // negated so NaN fails too
-			usageError("-target-ci must be in (0, 0.5] (got %g)", *targetCI)
-		}
-		*samples = 0
-	} else if *samples <= 0 {
-		usageError("-samples must be positive (got %d)", *samples)
+	n, err := campaign.SamplesFlag(flag.CommandLine, *samples, *targetCI)
+	opts := campaign.StudyOptions{
+		Samples: n, TargetCI: *targetCI, Inputs: *inputs, Seed: *seed,
+		Workers: *workers, Shards: *shards, PerLayer: *perLayer,
+		CheckpointPath:     *checkpoint,
+		CheckpointInterval: *ckptInterval,
+		ExperimentTimeout:  *expTimeout,
+		FailureBudget:      *failBudget,
+		IORetries:          *ioRetries,
+		IOBackoff:          *ioBackoff,
 	}
-	if *inputs <= 0 {
-		usageError("-inputs must be positive (got %d)", *inputs)
+	if err == nil {
+		err = opts.Validate()
 	}
-	if *shards < 0 {
-		usageError("-shards must be non-negative (got %d; 0 selects the default)", *shards)
+	if err != nil {
+		usageError("%v", err)
 	}
 	if *iters <= 0 {
 		usageError("-iters must be positive (got %d)", *iters)
@@ -116,7 +110,7 @@ func main() {
 	defer stop()
 
 	cfg := accel.NVDLASmall()
-	fw, err := core.New(cfg)
+	fw, err := fidelity.New(cfg)
 	if err != nil {
 		fail(err)
 	}
@@ -124,16 +118,7 @@ func main() {
 		ctx: ctx, fw: fw, cfg: cfg,
 		tel:   telemetry.New(),
 		start: time.Now(),
-		opts: campaign.StudyOptions{
-			Samples: *samples, TargetCI: *targetCI, Inputs: *inputs, Seed: *seed,
-			Workers: *workers, Shards: *shards, PerLayer: *perLayer,
-			CheckpointPath:     *checkpoint,
-			CheckpointInterval: *ckptInterval,
-			ExperimentTimeout:  *expTimeout,
-			FailureBudget:      *failBudget,
-			IORetries:          *ioRetries,
-			IOBackoff:          *ioBackoff,
-		},
+		opts:  opts,
 	}
 	// Progress lines from an in-process campaign are attributed "local";
 	// distributed runs (fidelityd) attribute per worker ID instead.
@@ -252,7 +237,7 @@ func usageError(format string, args ...any) {
 // study modes.
 type runner struct {
 	ctx     context.Context
-	fw      *core.Framework
+	fw      *fidelity.Framework
 	cfg     *accel.Config
 	opts    campaign.StudyOptions
 	tel     *telemetry.Collector
@@ -418,7 +403,7 @@ func fig4(r *runner) error {
 		}
 	}
 	fmt.Println()
-	fmt.Print(core.FITChart("Fig 4: Accelerator FIT rate (Inception/ResNet/MobileNet)", results, false).String())
+	fmt.Print(fidelity.FITChart("Fig 4: Accelerator FIT rate (Inception/ResNet/MobileNet)", results, false).String())
 	return nil
 }
 
@@ -434,7 +419,7 @@ func fig5(r *runner) error {
 			results = append(results, res)
 		}
 	}
-	fmt.Print(core.FITChart("Fig 5: Accelerator FIT rate (Transformer & Yolo, 10%/20% tolerance)", results, false).String())
+	fmt.Print(fidelity.FITChart("Fig 5: Accelerator FIT rate (Transformer & Yolo, 10%/20% tolerance)", results, false).String())
 	return nil
 }
 
@@ -448,7 +433,7 @@ func fig6(r *runner) error {
 		}
 		results = append(results, res)
 	}
-	fmt.Print(core.FITChart("Fig 6: FIT with global control FFs protected", results, true).String())
+	fmt.Print(fidelity.FITChart("Fig 6: FIT with global control FFs protected", results, true).String())
 	fmt.Println("note: datapath + local control alone still exceed the 0.2 ASIL-D FF budget (Key Result 2)")
 	return nil
 }
@@ -476,7 +461,7 @@ func keyResult5(r *runner) error {
 	return nil
 }
 
-func speedupCmp(ctx context.Context, fw *core.Framework, iters int, seed int64) error {
+func speedupCmp(ctx context.Context, fw *fidelity.Framework, iters int, seed int64) error {
 	reports, err := fw.Speedup(ctx, iters, seed)
 	if err != nil {
 		return err
@@ -496,7 +481,7 @@ func naiveCmp(r *runner) error {
 	t := report.NewTable("Sec. VI: naive software FI vs FIdelity",
 		"Workload", "naive FIT", "FIdelity FIT", "underestimate")
 	for _, net := range []string{"inception", "resnet", "mobilenet", "yolo", "transformer", "rnn"} {
-		w, err := model.Build(net, numerics.FP16, 42)
+		w, err := model.Build(net, numerics.FP16, model.WeightSeed)
 		if err != nil {
 			return err
 		}

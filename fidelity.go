@@ -19,11 +19,13 @@
 // with a Checkpoint), and observable (StudyOptions.Telemetry); see the
 // campaign and telemetry packages.
 //
-// The package re-exports the framework's building blocks: accelerator
-// descriptions (accel), Reuse Factor Analysis (reuse), software fault
-// models (faultmodel), FF activeness analysis (activeness), the FIT
-// computation (fit), experiment campaigns (campaign), the cycle-level
-// validation reference (rtlsim), and the workload zoo (model).
+// The package holds the framework itself (Framework: the Fig 3 flow, the
+// Sec. IV validation and the table and figure renderers) and re-exports its
+// building blocks: accelerator descriptions (accel), Reuse Factor Analysis
+// (reuse), software fault models (faultmodel), FF activeness analysis
+// (activeness), the FIT computation (fit), experiment campaigns (campaign),
+// the cycle-level validation reference (rtlsim), and the workload zoo
+// (model).
 package fidelity
 
 import (
@@ -32,7 +34,6 @@ import (
 	"fidelity/internal/accel"
 	"fidelity/internal/baseline"
 	"fidelity/internal/campaign"
-	"fidelity/internal/core"
 	"fidelity/internal/faultmodel"
 	"fidelity/internal/fit"
 	"fidelity/internal/model"
@@ -40,9 +41,6 @@ import (
 	"fidelity/internal/reuse"
 	"fidelity/internal/telemetry"
 )
-
-// Framework is a FIdelity instance bound to an accelerator design.
-type Framework = core.Framework
 
 // Config is a high-level accelerator description: hardware configuration,
 // scheduling parameters and FF census.
@@ -108,10 +106,6 @@ const (
 	LocalControlClass  = accel.LocalControl
 	GlobalControlClass = accel.GlobalControl
 )
-
-// New builds a FIdelity framework for an accelerator design, deriving its
-// software fault models via Reuse Factor Analysis.
-func New(cfg *Config) (*Framework, error) { return core.New(cfg) }
 
 // NVDLASmall returns the paper's NVDLA case-study configuration (k² = 16
 // MACs, t = 16 weight-hold cycles, Table II census).

@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"fidelity/internal/core"
 )
 
 func TestPublicAPIFlow(t *testing.T) {
@@ -89,7 +87,7 @@ func TestWorkloadNames(t *testing.T) {
 
 func TestValidationChartHelpers(t *testing.T) {
 	rep := &ValidationReport{Total: 10, DatapathChecked: 3, DatapathExact: 3}
-	s := core.ValidationTable(rep).String()
+	s := ValidationTable(rep).String()
 	if !strings.Contains(s, "datapath exact matches") {
 		t.Errorf("validation table malformed:\n%s", s)
 	}

@@ -171,6 +171,7 @@ func TestAdaptiveValidation(t *testing.T) {
 		{"negative target", StudyOptions{Samples: 10, TargetCI: -0.1, Inputs: 1, Tolerance: 0.1}},
 		{"NaN target", StudyOptions{TargetCI: math.NaN(), Inputs: 1, Tolerance: 0.1}},
 		{"adaptive without inputs", StudyOptions{TargetCI: 0.1, Tolerance: 0.1}},
+		{"NaN tolerance", StudyOptions{TargetCI: 0.1, Inputs: 1, Tolerance: math.NaN()}},
 	}
 	for _, tc := range cases {
 		if _, err := Study(context.Background(), cfg, w, tc.opts); err == nil {

@@ -66,8 +66,8 @@ type ShardRun struct {
 // the planner (the in-process barrier loop or a distributed coordinator) to
 // extend its History or finalize it.
 func RunShard(ctx context.Context, cfg *accel.Config, w *model.Workload, opts StudyOptions, run ShardRun) (ShardCheckpoint, error) {
-	if err := opts.validate(); err != nil {
-		return ShardCheckpoint{}, err
+	if err := opts.Validate(); err != nil {
+		return ShardCheckpoint{}, fmt.Errorf("campaign: %w", err)
 	}
 	shards := opts.shards()
 	if run.Index < 0 || run.Index >= shards {

@@ -3,7 +3,9 @@ package campaign
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -44,7 +46,7 @@ type StudyOptions struct {
 	// instead of a fixed Samples per fault model, every (layer, fault-model)
 	// stratum runs until its masking estimate's 95% Wilson half-width is at
 	// most TargetCI (or the worst-case bound SamplesFor(TargetCI) is spent).
-	// Mutually exclusive with Samples; must be in (0, 0.5]. Experiments run
+	// Mutually exclusive with Samples; lies in (0, 0.5]. Experiments run
 	// in rounds planned only at shard barriers from merged tallies in
 	// canonical stratum order, so results stay a pure function of (Seed,
 	// Shards, TargetCI) — never of Workers. Part of the campaign's
@@ -172,27 +174,52 @@ func (o StudyOptions) shards() int {
 	return DefaultShards
 }
 
-// validate rejects inconsistent sampling options: exactly one of Samples
-// (fixed-count) and TargetCI (adaptive) must drive the campaign.
-func (o StudyOptions) validate() error {
-	if o.TargetCI == 0 {
-		if o.Samples <= 0 || o.Inputs <= 0 {
-			return fmt.Errorf("campaign: Samples and Inputs must be positive")
+// Validate checks the campaign options every entry point shares: exactly
+// one of Samples (fixed count) and TargetCI (adaptive) drives the campaign,
+// TargetCI lies in (0, 0.5], Inputs is positive, Shards is non-negative and
+// Tolerance is finite and non-negative. Messages name each option by its
+// command-line flag, so the binaries print them as usage errors unchanged.
+// The range tests are negated so NaN, which compares false against every
+// bound, is rejected too.
+func (o StudyOptions) Validate() error {
+	if o.TargetCI != 0 {
+		if !(o.TargetCI > 0 && o.TargetCI <= 0.5) {
+			return fmt.Errorf("-target-ci must be in (0, 0.5] (got %g)", o.TargetCI)
 		}
-		return nil
-	}
-	// Written as a negated in-range test so NaN, which compares false
-	// against every bound, is rejected too.
-	if !(o.TargetCI > 0 && o.TargetCI <= 0.5) {
-		return fmt.Errorf("campaign: TargetCI must be in (0, 0.5], got %v", o.TargetCI)
-	}
-	if o.Samples != 0 {
-		return fmt.Errorf("campaign: Samples and TargetCI are mutually exclusive")
+		if o.Samples != 0 {
+			return errSamplesWithTargetCI
+		}
+	} else if o.Samples <= 0 {
+		return fmt.Errorf("-samples must be positive (got %d)", o.Samples)
 	}
 	if o.Inputs <= 0 {
-		return fmt.Errorf("campaign: Inputs must be positive")
+		return fmt.Errorf("-inputs must be positive (got %d)", o.Inputs)
+	}
+	if o.Shards < 0 {
+		return fmt.Errorf("-shards must be non-negative (got %d; 0 selects the default)", o.Shards)
+	}
+	if !(o.Tolerance >= 0 && o.Tolerance <= math.MaxFloat64) {
+		return fmt.Errorf("-tolerance must be finite and non-negative (got %g)", o.Tolerance)
 	}
 	return nil
+}
+
+var errSamplesWithTargetCI = errors.New("-samples and -target-ci are mutually exclusive (the adaptive planner sizes each stratum itself)")
+
+// SamplesFlag applies the one sampling rule that exists only on the command
+// line, where -samples has a non-zero default: a non-zero -target-ci selects
+// adaptive sampling and so returns a sample count of 0, unless -samples was
+// also given explicitly, which is an error. fs must already be parsed.
+func SamplesFlag(fs *flag.FlagSet, samples int, targetCI float64) (int, error) {
+	if targetCI == 0 {
+		return samples, nil
+	}
+	explicit := false
+	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "samples" })
+	if explicit {
+		return 0, errSamplesWithTargetCI
+	}
+	return 0, nil
 }
 
 // shardSeed derives the independent stream seed of one logical shard.
@@ -887,8 +914,8 @@ func phaseEnd(tel *telemetry.Collector, name string) {
 // which opts.Resume continues the study to the identical StudyResult an
 // uninterrupted run would have produced.
 func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts StudyOptions) (*StudyResult, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	tel := opts.Telemetry
 	models, err := faultmodel.Derive(cfg)

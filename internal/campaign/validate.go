@@ -141,8 +141,12 @@ type ffChoice struct {
 
 // Validate runs the Sec. IV validation campaign: samplesPerWorkload RTL
 // fault injections per Table III workload, with each non-masked case
-// compared against the corresponding software fault model.
+// compared against the corresponding software fault model. A campaign of no
+// injections checks nothing, so samplesPerWorkload must be positive.
 func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload int, seed int64) (*ValidationReport, error) {
+	if samplesPerWorkload <= 0 {
+		return nil, fmt.Errorf("campaign: validation needs at least one injection per workload (got %d)", samplesPerWorkload)
+	}
 	models, err := faultmodel.Derive(cfg)
 	if err != nil {
 		return nil, err

@@ -102,6 +102,9 @@ func TestValidationCampaign(t *testing.T) {
 	if rep.Total != 120*len(ws) {
 		t.Fatalf("total = %d", rep.Total)
 	}
+	if _, err := Validate(cfg, ws, 0, 7); err == nil {
+		t.Error("a validation campaign of zero injections was accepted")
+	}
 	if rep.NonMasked == 0 {
 		t.Fatal("campaign produced no non-masked cases")
 	}

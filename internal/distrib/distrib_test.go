@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -336,6 +337,9 @@ func TestCampaignSpecValidate(t *testing.T) {
 		{"zero inputs", func(s *CampaignSpec) { s.Inputs = 0 }},
 		{"negative shards", func(s *CampaignSpec) { s.Shards = -1 }},
 		{"bad precision", func(s *CampaignSpec) { s.Precision = "fp12" }},
+		{"NaN tolerance", func(s *CampaignSpec) { s.Tolerance = math.NaN() }},
+		{"infinite tolerance", func(s *CampaignSpec) { s.Tolerance = math.Inf(1) }},
+		{"negative tolerance", func(s *CampaignSpec) { s.Tolerance = -0.1 }},
 	}
 	for _, tc := range cases {
 		s := testSpec()

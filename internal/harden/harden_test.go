@@ -21,7 +21,7 @@ import (
 // buildWorkload returns a fresh deterministic zoo workload.
 func buildWorkload(t *testing.T, name string) *model.Workload {
 	t.Helper()
-	w, err := model.Build(name, numerics.FP16, 42)
+	w, err := model.Build(name, numerics.FP16, model.WeightSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestRecommendationSearch(t *testing.T) {
 func TestPipelineRun(t *testing.T) {
 	opts := Options{
 		Net: "mobilenet", Precision: numerics.FP16,
-		Samples: 8, Inputs: 1, Tolerance: 0.1, Seed: 3, Workers: 2,
+		Study: campaign.StudyOptions{Samples: 8, Inputs: 1, Tolerance: 0.1, Seed: 3, Workers: 2},
 	}
 	rep, err := Run(context.Background(), accel.NVDLASmall(), opts)
 	if err != nil {

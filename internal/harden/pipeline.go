@@ -9,33 +9,22 @@ import (
 	"fidelity/internal/fit"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
-	"fidelity/internal/telemetry"
 )
-
-// workloadSeed matches core.Framework.Analyze, so the hardened pipeline
-// measures the same deterministic networks as every other campaign entry
-// point.
-const workloadSeed = 42
 
 // Options configures the closed hardening loop.
 type Options struct {
 	// Net names the zoo workload; Precision its datapath format.
 	Net       string
 	Precision numerics.Precision
-	// Samples, Inputs, Tolerance, Seed, Workers configure both campaigns
-	// (campaign.StudyOptions semantics). The baseline and hardened runs use
-	// identical options except for the hardening fingerprint.
-	Samples   int
-	Inputs    int
-	Tolerance float64
-	Seed      int64
-	Workers   int
+	// Study configures both campaigns. The baseline and hardened runs use
+	// identical options except that Run sets PerLayer (duplication ranks
+	// layer executions) and gives the hardened run its Hardening
+	// fingerprint. Study.Telemetry, when non-nil, also collects the harden
+	// block (clamp activity, duplicated-site count).
+	Study campaign.StudyOptions
 	// Budget is the FIT target (0 = the area-apportioned ASIL-D FF budget,
 	// fit.FFBudget()).
 	Budget float64
-	// Telemetry, when non-nil, collects both campaigns' counters plus the
-	// harden block (clamp activity, duplicated-site count).
-	Telemetry *telemetry.Collector
 }
 
 // FITSummary is one campaign's FIT view in the hardening report.
@@ -87,17 +76,10 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 	if opts.Budget <= 0 {
 		opts.Budget = fit.FFBudget()
 	}
-	base := campaign.StudyOptions{
-		Samples:   opts.Samples,
-		Inputs:    opts.Inputs,
-		Tolerance: opts.Tolerance,
-		Seed:      opts.Seed,
-		Workers:   opts.Workers,
-		PerLayer:  true, // duplication ranks layer executions, so Eq. 2 needs per-layer Prob_SWmask
-		Telemetry: opts.Telemetry,
-	}
+	base := opts.Study
+	base.PerLayer = true // duplication ranks layer executions, so Eq. 2 needs per-layer Prob_SWmask
 
-	w, err := model.Build(opts.Net, opts.Precision, workloadSeed)
+	w, err := model.Build(opts.Net, opts.Precision, model.WeightSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +88,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 		return nil, err
 	}
 
-	prof, err := Profile(w, opts.Inputs)
+	prof, err := Profile(w, base.Inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +101,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 	// installed. The fingerprint at this point covers exactly the
 	// forward-path-changing part of the config (the clamp set), giving the
 	// hardened campaign its own checkpoint identity.
-	hw, err := model.Build(opts.Net, opts.Precision, workloadSeed)
+	hw, err := model.Build(opts.Net, opts.Precision, model.WeightSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -141,8 +123,8 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Telemetry != nil {
-		opts.Telemetry.SetDuplicatedSites(len(cfg.Duplicated))
+	if base.Telemetry != nil {
+		base.Telemetry.SetDuplicatedSites(len(cfg.Duplicated))
 	}
 
 	dup := make(map[string]bool, len(cfg.Duplicated))

@@ -134,13 +134,23 @@ func Run(p *Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
+// modulePath is the import path of the module root: the public façade
+// package fidelity.
+const modulePath = "fidelity"
+
 // pathMatches reports whether pkgPath contains pattern as a slash-bounded
 // sub-path. pattern itself may span segments ("internal/campaign",
-// "cmd/study"). Matching is positional, not prefix-based, so the module
-// root "fidelity" never matches "fidelity/internal/..." by accident.
+// "cmd/study"). Matching is positional, not a string prefix, so
+// "internal/camp" never matches "internal/campaign". The module root is the
+// one exception to sub-path matching: the pattern modulePath names the root
+// package only, never "fidelity/internal/..." or "fidelity/cmd/...", which
+// every package path in the module starts with.
 func pathMatches(pkgPath, pattern string) bool {
 	if pkgPath == pattern {
 		return true
+	}
+	if pattern == modulePath {
+		return false
 	}
 	if strings.HasSuffix(pkgPath, "/"+pattern) {
 		return true

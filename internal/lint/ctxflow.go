@@ -6,7 +6,8 @@ import (
 
 // ctxFlowScope lists the engine packages whose exported API does
 // long-running work — iterating experiments, coordinating shards, touching
-// the filesystem or network. Cancellation must be able to reach that work:
+// the filesystem or network — and the root façade, whose Framework runs
+// whole campaigns. Cancellation must be able to reach that work:
 // the distributed coordinator (PR 5) re-leases shards from workers that
 // stop responding, which only functions if a worker's long loops actually
 // observe ctx.Done.
@@ -14,7 +15,7 @@ var ctxFlowScope = []string{
 	"internal/campaign",
 	"internal/distrib",
 	"internal/inject",
-	"internal/core",
+	modulePath,
 }
 
 // CtxFlow requires engine API to accept and forward context.Context.
@@ -22,7 +23,7 @@ var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: `ctxflow: engine API must accept and forward context.Context
 
-Two rules in campaign/distrib/inject/core:
+Two rules in campaign/distrib/inject and the root fidelity package:
 
   - Library code never conjures its own root context:
     context.Background() / context.TODO() sever the caller's cancellation

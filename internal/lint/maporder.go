@@ -46,7 +46,7 @@ Everything else gets a finding at the range statement.`,
 
 func runMapOrder(pass *Pass) {
 	pkgPath := pass.Pkg.Path()
-	if !pathMatches(pkgPath, "internal") && !pathMatches(pkgPath, "cmd") {
+	if !pathMatchesAny(pkgPath, []string{"internal", "cmd", modulePath}) {
 		return
 	}
 	for _, f := range pass.Files {

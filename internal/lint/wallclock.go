@@ -6,9 +6,10 @@ import (
 
 // wallClockExempt lists packages whose job is measuring or reporting wall
 // time: telemetry owns timing instrumentation, and benchmark tooling exists
-// to measure elapsed time. Everywhere else in internal/, a time.Now read in
-// a decision path makes the outcome depend on when the run happened —
-// breaking replay bit-exactness (PR 4) and checkpoint identity (PR 2).
+// to measure elapsed time. Everywhere else in internal/ and the root façade,
+// a time.Now read in a decision path makes the outcome depend on when the
+// run happened — breaking replay bit-exactness (PR 4) and checkpoint
+// identity (PR 2).
 var wallClockExempt = []string{
 	"internal/telemetry",
 	"internal/bench",
@@ -33,8 +34,8 @@ of when the campaign ran: replay (PR 4) recomputes a fault's downstream
 cone and must reproduce the original bits; checkpoints (PR 2) must hash
 identically on resume. Telemetry owns timing instrumentation
 (internal/telemetry) and benchmark code measures elapsed time by design;
-both are exempt. Code outside internal/ (cmd/ binaries stamping manifest
-timestamps) is out of scope.
+both are exempt. The root fidelity package runs the same campaigns and is
+in scope; cmd/ binaries stamping manifest timestamps and examples/ are not.
 
 Legitimate wall-clock uses inside the engine — lease TTL liveness in the
 distrib coordinator, the Sec. VI speedup measurement that IS a timing
@@ -45,7 +46,7 @@ every such read is an audited decision.`,
 
 func runWallClock(pass *Pass) {
 	pkgPath := pass.Pkg.Path()
-	if !pathMatches(pkgPath, "internal") {
+	if !pathMatches(pkgPath, "internal") && !pathMatches(pkgPath, modulePath) {
 		return
 	}
 	if pathMatchesAny(pkgPath, wallClockExempt) {

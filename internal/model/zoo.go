@@ -62,6 +62,12 @@ func Names() []string {
 	return []string{"inception", "resnet", "resnet-bounded", "mobilenet", "yolo", "transformer", "rnn"}
 }
 
+// WeightSeed seeds the weights of the networks every campaign entry point
+// measures: the framework's Analyze and naive baseline, the study binary,
+// the distributed daemon and the hardening loop all build with it, so their
+// results describe the same networks.
+const WeightSeed = 42
+
 // Build constructs a workload by name at the given precision with a
 // deterministic seed. The quantizer calibration range is fixed at 8, chosen
 // so the seeded networks' activations occupy most of the INT range.
